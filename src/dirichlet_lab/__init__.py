@@ -70,4 +70,4 @@ from .mc import (
 )
 from .rate import RateFunction, clamp_rate, dani_rate, dani_time, rho_schedule
 from .rng import sample_torus, sample_torus_fixedpoint, substream
-from .targets import TargetSpec, in_target
+from .targets import TargetSpec, in_target, membership_profile

@@ -4,9 +4,10 @@ Independent cross-check of the lattice-based scanner: convergents p_k/q_k
 are the best rational approximations of the second kind, so on each block
 t in (q_k, q_{k+1}] the system is solvable for all t iff
 |q_k alpha - p_k| < psi(q_{k+1}) (psi decreasing makes the right endpoint
-the worst case).  Expansion works on floats via the Gauss map with an
-exhaustion guard; the convergent recurrences themselves are exact integer
-arithmetic.
+the worst case).  A float is a rational, so the expansion runs Euclid's
+algorithm on its exact integer ratio: every partial quotient and
+convergent is exact, and the expansion ends (in under ~80 steps for a
+53-bit denominator) when the ratio is exhausted.
 """
 
 from __future__ import annotations
@@ -17,8 +18,6 @@ from dataclasses import dataclass, field
 from .approx import PsiFunction
 from .dirichlet import psi_inverse
 from .errors import ValidationError
-
-_EXHAUSTION = 1e-14
 
 
 @dataclass
@@ -40,11 +39,11 @@ class ContinuedFraction:
 
 
 def cf_expand(alpha: float, K: int) -> ContinuedFraction:
-    """First K partial quotients of alpha in (0,1) by the Gauss map.
+    """First K partial quotients of alpha in (0,1), by Euclid on its exact ratio.
 
-    Floats are rationals, so the expansion terminates on exact
-    representations; truncation is reported, not raised.  The convergent
-    list starts at the 0th convergent (0, 1).
+    `truncated` is set when the expansion of the float's rational value
+    ends before K quotients.  The convergent list starts at the 0th
+    convergent (0, 1).
     """
     if not 0.0 < alpha < 1.0:
         raise ValidationError("alpha must lie in (0,1)")
@@ -54,30 +53,15 @@ def cf_expand(alpha: float, K: int) -> ContinuedFraction:
     convergents = [(0, 1)]
     p_prev, q_prev = 1, 0  # p_{-1}, q_{-1}
     p_cur, q_cur = 0, 1  # p_0, q_0
-    x = alpha
-    truncated = False
-    for _ in range(K):
-        if x < _EXHAUSTION:
-            truncated = True
-            break
-        inv = 1.0 / x
-        a = int(math.floor(inv))
-        if a < 1:
-            truncated = True
-            break
-        p_next = a * p_cur + p_prev
-        q_next = a * q_cur + q_prev
-        if q_next > 10**6:
-            # beyond this the float Gauss map no longer reliably tracks the
-            # expansion of the underlying rational
-            truncated = True
-            break
-        x = inv - a
+    num, den = alpha.as_integer_ratio()  # alpha = num/den exactly
+    while num and len(quotients) < K:
+        a, rem = divmod(den, num)
+        num, den = rem, num
         quotients.append(a)
-        p_prev, q_prev = p_cur, q_cur
-        p_cur, q_cur = p_next, q_next
+        p_prev, p_cur = p_cur, a * p_cur + p_prev
+        q_prev, q_cur = q_cur, a * q_cur + q_prev
         convergents.append((p_cur, q_cur))
-    return ContinuedFraction(alpha, quotients, convergents, truncated)
+    return ContinuedFraction(alpha, quotients, convergents, truncated=len(quotients) < K)
 
 
 @dataclass

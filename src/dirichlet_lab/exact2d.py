@@ -24,7 +24,6 @@ thread-safe; use one per worker.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
 
@@ -103,10 +102,6 @@ class Exact2D:
     def from_float(cls, a: float) -> "Exact2D":
         num, den = float(a).as_integer_ratio()
         return cls(num, den)
-
-    @classmethod
-    def from_fraction(cls, a: Fraction) -> "Exact2D":
-        return cls(a.numerator, a.denominator)
 
     def fold(self, q: int) -> int:
         """N(q) = min_p |q num - p den|: the integer distance den*dist(qA, Z)."""

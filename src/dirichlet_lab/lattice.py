@@ -2,7 +2,8 @@
 
 A lattice is stored as a d x d basis matrix with |det| = 1 (columns are
 basis vectors).  Enumeration of lattice points in an axis-aligned box is
-exact for d <= 6: the basis is LLL-reduced, candidates inside the box's
+exact for d <= 6: the basis is LLL-reduced (once per lattice object; the
+reduction and its QR data are cached on it), candidates inside the box's
 circumscribed ball are generated depth-first from the QR data with
 per-level interval pruning, and the box membership test (with open/closed
 endpoint flags and the boundary tolerance policy) makes the final call.
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -28,6 +30,8 @@ from .errors import (
 
 MAX_EXACT_DIM = 6
 _DET_TOL = 1e-9
+# LLL loop iterations before lll_reduce gives up and raises CapExceeded
+LLL_MAX_ITERATIONS = 10_000
 
 
 def boundary_tol(bound: float) -> float:
@@ -139,6 +143,35 @@ class UnimodularLattice:
     @property
     def d(self) -> int:
         return self.dims.d
+
+    @cached_property
+    def reduced(self) -> "ReducedBasis":
+        """LLL basis and its QR data, computed once per lattice on first use."""
+        return ReducedBasis.of(lll_reduce(self.basis))
+
+
+@dataclass(frozen=True)
+class ReducedBasis:
+    """An LLL-reduced basis with its QR factors: B = Q diag(signs) T.
+
+    `signs` makes T's diagonal nonnegative, so that the interval
+    arithmetic of `_enumerate_ball` has fixed signs.
+    """
+
+    B: np.ndarray
+    Q: np.ndarray
+    T: np.ndarray
+    signs: np.ndarray
+
+    @classmethod
+    def of(cls, B: np.ndarray) -> "ReducedBasis":
+        Q, T = np.linalg.qr(B)
+        signs = np.sign(np.diag(T))
+        signs[signs == 0] = 1.0
+        T = signs[:, None] * T
+        for array in (B, Q, T, signs):
+            array.setflags(write=False)  # shared by every query on the lattice
+        return cls(B, Q, T, signs)
 
 
 def standard_lattice(dims: DimensionParams) -> UnimodularLattice:
@@ -263,62 +296,69 @@ def r_box(r: float, d: int) -> Box:
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    """Float LLL on columns; recomputes Gram-Schmidt after each swap (d <= 6)."""
+    """Float LLL on columns (d <= 6), with Gram-Schmidt kept up to date lazily.
+
+    Row i of (Q, mu, norms) depends only on columns 0..i, so a
+    size-reduction of column k recomputes row k, a swap rows k-1 and k, and
+    advancing k computes row k+1; rows past k are never read.  Each row is
+    evaluated exactly as a full recomputation would evaluate it, so the
+    result is bit-identical to recomputing all d rows after every change.
+    Raises CapExceeded after LLL_MAX_ITERATIONS passes of the main loop.
+    """
     B = np.array(basis, dtype=float)
     d = B.shape[1]
+    Q = np.zeros_like(B)
+    mu = np.zeros((d, d))
+    norms = np.zeros(d)
 
-    def gso(Bm):
-        Q = np.zeros_like(Bm)
-        mu = np.zeros((d, d))
-        norms = np.zeros(d)
-        for i in range(d):
-            v = Bm[:, i].copy()
-            for j in range(i):
-                if norms[j] > 0:
-                    mu[i, j] = np.dot(Bm[:, i], Q[:, j]) / norms[j]
-                    v -= mu[i, j] * Q[:, j]
-            Q[:, i] = v
-            norms[i] = np.dot(v, v)
-        return Q, mu, norms
+    def gso_row(i):
+        v = B[:, i].copy()
+        for j in range(i):
+            if norms[j] > 0:
+                mu[i, j] = np.dot(B[:, i], Q[:, j]) / norms[j]
+                v -= mu[i, j] * Q[:, j]
+            else:
+                mu[i, j] = 0.0
+        Q[:, i] = v
+        norms[i] = np.dot(v, v)
 
-    Q, mu, norms = gso(B)
+    for i in range(min(2, d)):
+        gso_row(i)
     k = 1
-    guard = 0
+    iterations = 0
     while k < d:
-        guard += 1
-        if guard > 10000:
-            break
+        iterations += 1
+        if iterations > LLL_MAX_ITERATIONS:
+            raise CapExceeded(f"LLL did not converge in {LLL_MAX_ITERATIONS} iterations")
         for j in range(k - 1, -1, -1):
             q = round(mu[k, j])
             if q != 0:
                 B[:, k] -= q * B[:, j]
-                Q, mu, norms = gso(B)
+                gso_row(k)
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
+            if k < d:
+                gso_row(k)
         else:
             B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            Q, mu, norms = gso(B)
+            gso_row(k - 1)
+            gso_row(k)
             k = max(k - 1, 1)
     return B
 
 
-def _enumerate_ball(B: np.ndarray, center: np.ndarray, radius: float, guard: int):
-    """Integer coefficient vectors c with ||B c - center||_2 <= radius.
+def _enumerate_ball(R: ReducedBasis, center: np.ndarray, radius: float, guard: int):
+    """Integer coefficient vectors c with ||R.B c - center||_2 <= radius.
 
     Depth-first with per-level interval pruning from the QR factorization.
     Yields coefficient tuples; raises CapExceeded past `guard` candidates.
     """
-    d = B.shape[1]
-    Q, T = np.linalg.qr(B)
-    # normalize to positive diagonal so interval arithmetic has fixed signs
-    signs = np.sign(np.diag(T))
-    signs[signs == 0] = 1.0
-    T = signs[:, None] * T
-    y = signs * (Q.T @ center)
+    d = R.B.shape[1]
+    T = R.T
+    y = R.signs * (R.Q.T @ center)
     budget2 = radius * radius * (1.0 + 1e-9) + 1e-12
 
     c = np.zeros(d, dtype=np.int64)
-    partial = np.zeros(d + 1)  # squared residual accumulated from levels > j
     seen = 0
 
     def rec(j, acc2):
@@ -345,6 +385,16 @@ def _enumerate_ball(B: np.ndarray, center: np.ndarray, radius: float, guard: int
     yield from rec(d - 1, 0.0)
 
 
+def _nonzero_points(L: UnimodularLattice, center, radius: float, cap: int):
+    """Nonzero lattice points within `radius` of `center`, from the cached reduction."""
+    R = L.reduced
+    guard = max(1_000_000, 50 * cap)
+    for coeff in _enumerate_ball(R, center, radius, guard):
+        v = R.B @ np.array(coeff, dtype=float)
+        if not all(abs(x) < 1e-12 for x in v):
+            yield v
+
+
 def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
     """All nonzero lattice points in the box, exactly.
 
@@ -358,15 +408,8 @@ def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
         raise ValidationError("box dimension does not match lattice")
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    B = lll_reduce(L.basis)
-    center = box.center()
-    radius = box.circumradius()
     out = []
-    guard = max(1_000_000, 50 * cap)
-    for coeff in _enumerate_ball(B, center, radius, guard):
-        v = B @ np.array(coeff, dtype=float)
-        if all(abs(x) < 1e-12 for x in v):
-            continue
+    for v in _nonzero_points(L, box.center(), box.circumradius(), cap):
         if box.contains(v):
             out.append(v)
             if len(out) > cap:
@@ -380,15 +423,7 @@ def has_nonzero_point(L: UnimodularLattice, box: Box, cap: int = 100_000) -> boo
     """True iff some nonzero lattice point lies in the box (early exit)."""
     if L.d > MAX_EXACT_DIM:
         raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    B = lll_reduce(L.basis)
-    guard = max(1_000_000, 50 * cap)
-    for coeff in _enumerate_ball(B, box.center(), box.circumradius(), guard):
-        v = B @ np.array(coeff, dtype=float)
-        if all(abs(x) < 1e-12 for x in v):
-            continue
-        if box.contains(v):
-            return True
-    return False
+    return any(box.contains(v) for v in _nonzero_points(L, box.center(), box.circumradius(), cap))
 
 
 def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
@@ -400,16 +435,11 @@ def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
     """
     if L.d > MAX_EXACT_DIM:
         raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    B = lll_reduce(L.basis)
-    bound = float(np.min(np.max(np.abs(B), axis=0)))
+    bound = float(np.min(np.max(np.abs(L.reduced.B), axis=0)))
     box = Box.closed_cube(bound * (1.0 + 1e-9), L.d)
     best = bound
-    guard = max(1_000_000, 50 * cap)
-    for coeff in _enumerate_ball(B, box.center(), box.circumradius(), guard):
-        v = B @ np.array(coeff, dtype=float)
+    for v in _nonzero_points(L, box.center(), box.circumradius(), cap):
         sup = float(np.max(np.abs(v)))
-        if sup < 1e-12:
-            continue
         if sup < best:
             best = sup
     return best

@@ -25,7 +25,7 @@ from .exact2d import Exact2D, log_int
 from .lattice import WeightPair, apply_flow, lattice_from_matrix
 from .parallel import indexed_map
 from .rng import sample_torus, substream
-from .targets import KIND_PRIMED, KIND_SUB, TargetSpec, in_target
+from .targets import KIND_PRIMED, KIND_SUB, TargetSpec, membership_profile
 
 _Z95 = 1.959963984540054
 
@@ -148,12 +148,7 @@ def measure_profile(
             ex = Exact2D.from_float(float(A[0, 0]))
             return _exact_membership_profile(ex, s_push, kinds, r_values)
         L = apply_flow(lattice_from_matrix(A, dims), s_push, w)
-        out = {}
-        for kind in kinds:
-            for r in r_values:
-                spec = TargetSpec(kind, r, w if kind not in (KIND_SUB, KIND_PRIMED) else None)
-                out[(kind, r)] = in_target(L, spec)
-        return out
+        return membership_profile(L, kinds, r_values, w)
 
     def block(b: int):
         lo = b * block_size

@@ -26,7 +26,6 @@ from .lattice import (
     Box,
     UnimodularLattice,
     WeightPair,
-    apply_flow,
     enumerate_in_box,
     has_nonzero_point,
     r_box,
@@ -117,10 +116,6 @@ def intersect_intervals(xs, ys):
     return out
 
 
-def total_length(intervals) -> float:
-    return sum(hi - lo for lo, hi in intervals)
-
-
 def _cube_entry_interval(v, r: float, w: WeightPair):
     """s-interval on which g_s v lies in the open cube (-e^-r, e^-r)^d."""
     m = w.m
@@ -188,18 +183,38 @@ def thickened_witness_intervals(
     return intersect_intervals(avoid, merge_intervals(slab_hits))
 
 
+def membership_profile(
+    L: UnimodularLattice, kinds, r_values, w: WeightPair | None, cap: int = 500_000
+) -> dict:
+    """Exact membership of L for every (kind, r), asking each question once.
+
+    Per r the open-cube probe runs at most once and decides `sub`; the slab
+    probe runs only for `primed` and only when `sub` holds.  Thickened
+    kinds go through `thickened_witness_intervals`.  Every probe reads the
+    lattice's one cached reduction.
+    """
+    out = {}
+    for r in r_values:
+        sub = None
+        for kind in kinds:
+            spec = TargetSpec(kind, r, w if kind in _WINDOWS else None)
+            if spec.thick:
+                if (w.m, w.n) != (L.dims.m, L.dims.n):
+                    raise ValidationError("target weights do not match lattice dims")
+                out[(kind, r)] = bool(thickened_witness_intervals(L, spec, cap=cap))
+                continue
+            if sub is None:
+                sub = not has_nonzero_point(L, Box.open_cube(math.exp(-r), L.d), cap=cap)
+            if kind == KIND_SUB or not sub:
+                out[(kind, r)] = sub
+            else:
+                out[(kind, r)] = has_nonzero_point(L, r_box(r, L.d), cap=cap)
+    return out
+
+
 def in_target(L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000) -> bool:
     """Exact membership of L in the target set."""
-    if spec.thick:
-        if (spec.weights.m, spec.weights.n) != (L.dims.m, L.dims.n):
-            raise ValidationError("target weights do not match lattice dims")
-        return bool(thickened_witness_intervals(L, spec, cap=cap))
-    cube = Box.open_cube(math.exp(-spec.r), L.d)
-    if has_nonzero_point(L, cube, cap=cap):
-        return False
-    if spec.kind == KIND_SUB:
-        return True
-    return has_nonzero_point(L, r_box(spec.r, L.d), cap=cap)
+    return membership_profile(L, [spec.kind], [spec.r], spec.weights, cap=cap)[(spec.kind, spec.r)]
 
 
 def in_target_grid_oracle(
@@ -238,8 +253,3 @@ def in_target_grid_oracle(
         )
         ok &= np.any(in_slab, axis=0)
     return bool(np.any(ok))
-
-
-def flow_then_check(L, s, spec, w: WeightPair, cap=500_000):
-    """Membership of g_s L; convenience for orbit code and tests."""
-    return in_target(apply_flow(L, s, w), spec, cap=cap)

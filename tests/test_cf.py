@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from dirichlet_lab.cf import (
     cf_is_psi_dirichlet,
     cf_uncovered_intervals,
 )
+from dirichlet_lab.cli import cli_main
 from dirichlet_lab.dirichlet import psi_dirichlet_scan
 from dirichlet_lab.errors import ValidationError
 from dirichlet_lab.lattice import WeightPair
@@ -124,3 +126,40 @@ def test_oracle_agrees_with_scan(psi):
             scan.uncovered,
             oracle,
         )
+
+
+def test_truncated_only_when_the_ratio_is_exhausted():
+    # Euclid on the float's exact ratio: the expansion ends with the ratio
+    # itself, whose error is exactly zero, and never stops at a size cap
+    alpha = float(substream(42, "cf", 0).random())
+    cf = cf_expand(alpha, 10_000)
+    assert cf.truncated
+    num, den = alpha.as_integer_ratio()
+    assert cf.convergents[-1] == (num, den)
+    assert cf.errors()[-1] == 0.0
+    assert cf.convergents[-2][1] > 10**6
+    assert not cf_expand(alpha, 5).truncated
+
+
+_CRITERION_6_PSI = [
+    ("constant_ratio", "0.6", 2.0),
+    ("constant_ratio", "0.9", 2.0),
+    ("log_drift", "1,1", math.e**2),
+]
+
+
+@pytest.mark.parametrize("T", ["1e8", "1e10"])
+def test_oracles_agree_past_a_million(T, tmp_path):
+    rng = substream(43, "cf-deep", 0)
+    for idx in range(8):
+        alpha = float(rng.random())
+        for family, params, t0 in _CRITERION_6_PSI:
+            out = tmp_path / f"{idx}-{family}-{params}"
+            argv = [
+                "check", "--oracle", "both", "--T", T, "--A", repr(alpha),
+                "--set", f"psi.family={family}", "--set", f"psi.params={params}",
+                "--set", f"psi.t0={t0!r}", "--out", str(out),
+            ]
+            assert cli_main(argv) == 0
+            result = json.loads((out / "check.json").read_text())
+            assert result["oracles_agree"], (alpha, family, result["uncovered"], result["cf_uncovered"])

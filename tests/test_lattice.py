@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dirichlet_lab import lattice
 from dirichlet_lab.approx import DimensionParams
 from dirichlet_lab.errors import CapExceeded, DimensionTooLarge, ValidationError
 from dirichlet_lab.lattice import (
@@ -21,7 +22,7 @@ from dirichlet_lab.lattice import (
     standard_lattice,
     weighted_quasi_norm,
 )
-from dirichlet_lab.rng import substream
+from dirichlet_lab.rng import sample_torus, substream
 
 
 def brute_force_min_sup(L, coeff_bound=None):
@@ -238,3 +239,76 @@ def test_lll_preserves_lattice():
         U = np.linalg.solve(L.basis, R)
         assert np.allclose(U, np.round(U), atol=1e-6)
         assert abs(abs(np.linalg.det(U)) - 1.0) < 1e-6
+
+
+def _lll_full_recompute(basis, delta=0.99):
+    """Reference LLL that recomputes the whole Gram-Schmidt data after every change."""
+    B = np.array(basis, dtype=float)
+    d = B.shape[1]
+
+    def gso(Bm):
+        Q = np.zeros_like(Bm)
+        mu = np.zeros((d, d))
+        norms = np.zeros(d)
+        for i in range(d):
+            v = Bm[:, i].copy()
+            for j in range(i):
+                if norms[j] > 0:
+                    mu[i, j] = np.dot(Bm[:, i], Q[:, j]) / norms[j]
+                    v -= mu[i, j] * Q[:, j]
+            Q[:, i] = v
+            norms[i] = np.dot(v, v)
+        return Q, mu, norms
+
+    Q, mu, norms = gso(B)
+    k = 1
+    guard = 0
+    while k < d:
+        guard += 1
+        if guard > 10000:
+            break
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q != 0:
+                B[:, k] -= q * B[:, j]
+                Q, mu, norms = gso(B)
+        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            Q, mu, norms = gso(B)
+            k = max(k - 1, 1)
+    return B
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 1), (1, 3), (2, 2), (3, 1)])
+def test_lazy_lll_is_bit_identical_to_full_recompute(m, n):
+    dims = DimensionParams(m, n)
+    w = WeightPair.unweighted(m, n)
+    for s in (0.0, 10.0, 15.0):
+        for i in range(40):
+            A = sample_torus(substream(8, f"lll-bits-{s}", i), m, n)
+            basis = apply_flow(lattice_from_matrix(A, dims), s, w).basis
+            assert np.array_equal(lll_reduce(basis), _lll_full_recompute(basis)), (m, n, s, i)
+
+
+def test_lll_iteration_cap_raises(monkeypatch):
+    dims = DimensionParams(1, 2)
+    A = sample_torus(substream(9, "lll-cap", 0), 1, 2)
+    basis = apply_flow(lattice_from_matrix(A, dims), 10.0, WeightPair.unweighted(1, 2)).basis
+    lll_reduce(basis)
+    monkeypatch.setattr(lattice, "LLL_MAX_ITERATIONS", 1)
+    with pytest.raises(CapExceeded):
+        lll_reduce(basis)
+
+
+def test_reduction_is_computed_once_per_lattice(monkeypatch):
+    calls = []
+    original = lattice.lll_reduce
+    monkeypatch.setattr(lattice, "lll_reduce", lambda B: calls.append(1) or original(B))
+    L = random_unimodular(DimensionParams(2, 1), substream(10, "once", 0))
+    shortest_sup_norm(L)
+    enumerate_in_box(L, Box.closed_cube(1.5, 3))
+    assert lattice.has_nonzero_point(L, Box.open_cube(1.5, 3))
+    assert len(calls) == 1
+    assert np.array_equal(L.reduced.B, original(L.basis))

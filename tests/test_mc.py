@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_lab import lattice
 from dirichlet_lab.approx import DimensionParams
 from dirichlet_lab.errors import DomainError, ValidationError
 from dirichlet_lab.lattice import UnimodularLattice, WeightPair
@@ -192,3 +193,14 @@ def test_pair_correlation_gap_decorrelates():
     rep = pair_correlation(6, 21, rho, W11, 8000, seed=37)
     assert not rep.zero_hit
     assert rep.ratio < 1.0
+
+
+def test_measure_profile_reduces_each_sample_once(monkeypatch):
+    calls = []
+    original = lattice.lll_reduce
+    monkeypatch.setattr(lattice, "lll_reduce", lambda B: calls.append(1) or original(B))
+    w = WeightPair.unweighted(1, 2)
+    radii = [0.02 * 10 ** (i / 7) for i in range(8)]
+    profile = measure_profile([KIND_SUB, KIND_PRIMED], radii, w, 10.0, 1000, seed=0)
+    assert len(calls) == 1000
+    assert len(profile) == 16

@@ -9,10 +9,11 @@ from dirichlet_lab.lattice import (
     UnimodularLattice,
     WeightPair,
     apply_flow,
+    lattice_from_matrix,
     random_unimodular,
     standard_lattice,
 )
-from dirichlet_lab.rng import substream
+from dirichlet_lab.rng import sample_torus, substream
 from dirichlet_lab.targets import (
     KIND_PRIMED,
     KIND_SUB,
@@ -23,6 +24,7 @@ from dirichlet_lab.targets import (
     in_target,
     in_target_grid_oracle,
     intersect_intervals,
+    membership_profile,
     merge_intervals,
     thickened_witness_intervals,
 )
@@ -147,3 +149,36 @@ def test_thick_agrees_with_grid_oracle_weighted():
 def test_thick_z2_explicit():
     # Z^2: already in sub(r) at s = 0, so thick holds for any r
     assert in_target(standard_lattice(D11), TargetSpec(KIND_THICK, 0.3, W11))
+
+
+def test_membership_profile_matches_single_queries():
+    dims = DimensionParams(1, 2)
+    w = WeightPair.unweighted(1, 2)
+    kinds = [KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED]
+    radii = [0.05, 0.2, 0.5, 0.9]
+    seen = {key: 0 for key in ((kind, r) for kind in kinds for r in radii)}
+    for i in range(60):
+        A = sample_torus(substream(12, "profile", i), 1, 2)
+        L = apply_flow(lattice_from_matrix(A, dims), 10.0, w)
+        profile = membership_profile(L, kinds, radii, w)
+        assert set(profile) == set(seen)
+        for (kind, r), hit in profile.items():
+            fresh = UnimodularLattice(L.basis, L.dims)  # no cached reduction
+            spec = TargetSpec(kind, r, w if kind in (KIND_THICK, KIND_THICK_PRIMED) else None)
+            assert hit == in_target(fresh, spec), (i, kind, r)
+            seen[(kind, r)] += hit
+    # the samples reach both answers for every kind
+    for kind in kinds:
+        assert 0 < sum(seen[(kind, r)] for r in radii) < 60 * len(radii)
+
+
+def test_membership_profile_validates():
+    L = standard_lattice(DimensionParams(1, 2))
+    with pytest.raises(ValidationError):
+        membership_profile(L, ["bogus"], [0.2], None)
+    with pytest.raises(ValidationError):
+        membership_profile(L, [KIND_SUB], [1.5], None)
+    with pytest.raises(ValidationError):
+        membership_profile(L, [KIND_THICK], [0.2], None)
+    with pytest.raises(ValidationError):
+        membership_profile(L, [KIND_THICK], [0.2], W11)
