@@ -114,8 +114,9 @@ def _records_dense(num: int, den_exp: int, T: int):
     den_u = den_i
     records = []
     carry = den_i  # anything beats this
-    q = np.arange(1, 1 + _CHUNK, dtype=np.uint64)
-    work = np.empty(_CHUNK, dtype=np.uint64)
+    size = min(_CHUNK, T)  # a short horizon needs no full chunk
+    q = np.arange(1, 1 + size, dtype=np.uint64)
+    work = np.empty(size, dtype=np.uint64)
     q0 = 1
     while q0 <= T:
         n = min(_CHUNK, T - q0 + 1)

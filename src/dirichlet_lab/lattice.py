@@ -3,12 +3,16 @@
 A lattice is stored as a d x d basis matrix with |det| = 1 (columns are
 basis vectors).  Enumeration of lattice points in an axis-aligned box is
 exact for d <= 6: the basis is LLL-reduced (once per lattice object; the
-reduction and its QR data are cached on it), candidates inside the box's
-circumscribed ball are generated depth-first from the QR data with
-per-level interval pruning, and the box membership test (with open/closed
-endpoint flags and the boundary tolerance policy) makes the final call.
+reduction and its QR data are cached on it), and the coefficient vectors
+inside the box's circumscribed ball are walked depth-first from the QR
+data with per-level interval pruning down to level 1.  The innermost level
+is not walked: its coefficient ranges are collected and expanded, tested,
+evaluated and filtered by the box in numpy blocks, with the same float
+operations and in the same order as a scalar walk.  The box membership
+test (with open/closed endpoint flags and the boundary tolerance policy)
+makes the final call, row-wise.
 
-Strict inequalities follow one policy everywhere:
+Strict inequalities follow one policy everywhere (elementwise on arrays):
     value < bound  is evaluated as  value < bound - 1e-12 * max(1, |bound|).
 """
 
@@ -32,13 +36,15 @@ MAX_EXACT_DIM = 6
 _DET_TOL = 1e-9
 # LLL loop iterations before lll_reduce gives up and raises CapExceeded
 LLL_MAX_ITERATIONS = 10_000
+# most candidate coefficient rows _enumerate_ball expands and tests at once
+_BLOCK_ROWS = 4096
 
 
-def boundary_tol(bound: float) -> float:
-    return 1e-12 * max(1.0, abs(bound))
+def boundary_tol(bound):
+    return 1e-12 * np.maximum(1.0, np.abs(bound))
 
 
-def strictly_less(value: float, bound: float) -> bool:
+def strictly_less(value, bound):
     return value < bound - boundary_tol(bound)
 
 
@@ -269,21 +275,20 @@ class Box:
         half = 0.5 * (np.array(self.upper) - np.array(self.lower))
         return float(np.linalg.norm(half))
 
-    def contains(self, v) -> bool:
-        for x, lo, hi, lo_open, hi_open in zip(
-            v, self.lower, self.upper, self.lower_open, self.upper_open
+    def contains_rows(self, V) -> np.ndarray:
+        """Membership of every row of a (k, d) array, as a boolean array of length k."""
+        V = np.asarray(V, dtype=float)
+        inside = np.ones(V.shape[0], dtype=bool)
+        for i, (lo, hi, lo_open, hi_open) in enumerate(
+            zip(self.lower, self.upper, self.lower_open, self.upper_open)
         ):
-            if lo_open:
-                if not strictly_less(lo, x):
-                    return False
-            elif x < lo - boundary_tol(lo):
-                return False
-            if hi_open:
-                if not strictly_less(x, hi):
-                    return False
-            elif x > hi + boundary_tol(hi):
-                return False
-        return True
+            x = V[:, i]
+            inside &= strictly_less(lo, x) if lo_open else ~(x < lo - boundary_tol(lo))
+            inside &= strictly_less(x, hi) if hi_open else ~(x > hi + boundary_tol(hi))
+        return inside
+
+    def contains(self, v) -> bool:
+        return bool(self.contains_rows(np.reshape(v, (1, -1)))[0])
 
 
 def r_box(r: float, d: int) -> Box:
@@ -350,49 +355,123 @@ def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
 def _enumerate_ball(R: ReducedBasis, center: np.ndarray, radius: float, guard: int):
     """Integer coefficient vectors c with ||R.B c - center||_2 <= radius.
 
-    Depth-first with per-level interval pruning from the QR factorization.
-    Yields coefficient tuples; raises CapExceeded past `guard` candidates.
+    Levels d-1..1 are walked depth-first with per-level interval pruning
+    from the QR factorization; each level-0 range is collected instead of
+    walked, and the collected ranges are expanded and leaf-tested in numpy
+    with the scalar walk's float operations.  Yields (k, d) int64 blocks of
+    at most _BLOCK_ROWS candidates' rows, in the scalar walk's
+    lexicographic order of (c_{d-1}, ..., c_0).  Counts every coefficient
+    tried at any level; past `guard` of them it yields the rows found before
+    the offending candidate, then raises CapExceeded.
     """
     d = R.B.shape[1]
-    T = R.T
-    y = R.signs * (R.Q.T @ center)
+    T = R.T.tolist()
+    y = (R.signs * (R.Q.T @ center)).tolist()
     budget2 = radius * radius * (1.0 + 1e-9) + 1e-12
 
-    c = np.zeros(d, dtype=np.int64)
+    c = [0] * d
     seen = 0
+    # level-0 ranges as (lo - first row, count, acc2, shift, (c_1, ..., c_{d-1}))
+    ranges = []
+    pending = 0
 
-    def rec(j, acc2):
-        nonlocal seen
-        if acc2 > budget2:
-            return
-        if j < 0:
-            yield tuple(int(v) for v in c)
-            return
+    def bounds(j, acc2):
         # residual term at level j: (T[j,j] c_j + sum_{k>j} T[j,k] c_k - y[j])^2
-        shift = y[j] - sum(T[j, k] * c[k] for k in range(j + 1, d))
+        partial = 0.0
+        for k in range(j + 1, d):
+            partial += T[j][k] * c[k]
+        shift = y[j] - partial
         room = math.sqrt(max(budget2 - acc2, 0.0))
-        lo = math.ceil((shift - room) / T[j, j] - 1e-12)
-        hi = math.floor((shift + room) / T[j, j] + 1e-12)
+        lo = math.ceil((shift - room) / T[j][j] - 1e-12)
+        hi = math.floor((shift + room) / T[j][j] + 1e-12)
+        return shift, lo, hi
+
+    def drain():
+        nonlocal pending
+        if ranges:
+            block = _leaf_block(ranges, T[0][0], budget2)
+            ranges.clear()
+            pending = 0
+            if len(block):
+                yield block
+
+    def trip():
+        yield from drain()
+        raise CapExceeded(f"ball enumeration guard ({guard}) tripped")
+
+    def leaf(acc2):
+        nonlocal seen, pending
+        shift, lo, hi = bounds(0, acc2)
+        count = hi - lo + 1
+        if count <= 0:
+            return
+        tripped = seen + count > guard
+        if tripped:
+            count = guard - seen
+        seen += count
+        prefix = tuple(c[1:])
+        while count > 0:
+            take = min(count, _BLOCK_ROWS - pending)
+            ranges.append((lo - pending, take, acc2, shift, prefix))
+            pending += take
+            lo += take
+            count -= take
+            if pending == _BLOCK_ROWS:
+                yield from drain()
+        if tripped:
+            yield from trip()
+
+    def level(j, acc2):
+        nonlocal seen
+        shift, lo, hi = bounds(j, acc2)
+        Tjj = T[j][j]
         for cj in range(lo, hi + 1):
             seen += 1
             if seen > guard:
-                raise CapExceeded(f"ball enumeration guard ({guard}) tripped")
+                yield from trip()
             c[j] = cj
-            term = T[j, j] * cj - shift
-            yield from rec(j - 1, acc2 + term * term)
+            term = Tjj * cj - shift
+            below = acc2 + term * term
+            if below <= budget2:
+                yield from (level(j - 1, below) if j > 1 else leaf(below))
         c[j] = 0
 
-    yield from rec(d - 1, 0.0)
+    yield from (level(d - 1, 0.0) if d > 1 else leaf(0.0))
+    yield from drain()
+
+
+def _leaf_block(ranges, t00: float, budget2: float) -> np.ndarray:
+    """Expand level-0 ranges into coefficient rows; keep those within the ball.
+
+    The test acc2 + term^2 <= budget2 with term = T[0,0] c_0 - shift is the
+    scalar walk's, evaluated elementwise.
+    """
+    rows = np.repeat(
+        np.array([(base, acc2, shift) + prefix for base, _, acc2, shift, prefix in ranges]),
+        [count for _, count, _, _, _ in ranges],
+        axis=0,
+    )
+    c0 = rows[:, 0] + np.arange(len(rows))  # exact: |c| < 2^53
+    term = t00 * c0 - rows[:, 2]
+    keep = rows[:, 1] + term * term <= budget2
+    rows[:, 2] = c0
+    return rows[keep, 2:].astype(np.int64)
 
 
 def _nonzero_points(L: UnimodularLattice, center, radius: float, cap: int):
-    """Nonzero lattice points within `radius` of `center`, from the cached reduction."""
+    """Blocks of nonzero lattice points within `radius` of `center`, from the cached reduction.
+
+    Row i of a block is R.B @ c_i: a stacked matrix-vector product runs the
+    single product's kernel, so every row is bit-identical to it (C @ B.T
+    runs another kernel and rounds differently).
+    """
     R = L.reduced
     guard = max(1_000_000, 50 * cap)
-    for coeff in _enumerate_ball(R, center, radius, guard):
-        v = R.B @ np.array(coeff, dtype=float)
-        if not all(abs(x) < 1e-12 for x in v):
-            yield v
+    for C in _enumerate_ball(R, center, radius, guard):
+        V = np.matmul(R.B, C.astype(float)[:, :, None])[:, :, 0]
+        V = V[~np.all(np.abs(V) < 1e-12, axis=1)]
+        if len(V):
+            yield V
 
 
 def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
@@ -409,21 +488,24 @@ def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
     if cap < 1:
         raise ValidationError("cap must be >= 1")
     out = []
-    for v in _nonzero_points(L, box.center(), box.circumradius(), cap):
-        if box.contains(v):
-            out.append(v)
-            if len(out) > cap:
-                raise CapExceeded(f"more than cap={cap} lattice points in box")
-    if not out:
+    found = 0
+    for V in _nonzero_points(L, box.center(), box.circumradius(), cap):
+        V = V[box.contains_rows(V)]
+        found += len(V)
+        if found > cap:
+            raise CapExceeded(f"more than cap={cap} lattice points in box")
+        out.append(V)
+    if not found:
         return np.zeros((0, L.d))
-    return np.array(out)
+    return np.concatenate(out)
 
 
 def has_nonzero_point(L: UnimodularLattice, box: Box, cap: int = 100_000) -> bool:
     """True iff some nonzero lattice point lies in the box (early exit)."""
     if L.d > MAX_EXACT_DIM:
         raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    return any(box.contains(v) for v in _nonzero_points(L, box.center(), box.circumradius(), cap))
+    points = _nonzero_points(L, box.center(), box.circumradius(), cap)
+    return any(box.contains_rows(V).any() for V in points)
 
 
 def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
@@ -438,10 +520,8 @@ def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
     bound = float(np.min(np.max(np.abs(L.reduced.B), axis=0)))
     box = Box.closed_cube(bound * (1.0 + 1e-9), L.d)
     best = bound
-    for v in _nonzero_points(L, box.center(), box.circumradius(), cap):
-        sup = float(np.max(np.abs(v)))
-        if sup < best:
-            best = sup
+    for V in _nonzero_points(L, box.center(), box.circumradius(), cap):
+        best = min(best, float(np.max(np.abs(V), axis=1).min()))
     return best
 
 

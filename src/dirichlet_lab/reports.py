@@ -10,7 +10,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 
@@ -56,30 +55,15 @@ def _digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-@dataclass
-class RunManifest:
-    config_text: str
-    artifact_version: str
-    wall_time_s: float
-    file_digests: dict = field(default_factory=dict)
-
-
 def write_run_manifest(outdir: Path, config_text: str, files, version: str, t_start: float):
     """Manifest is written last; digests are stable under seeded re-runs."""
-    manifest = RunManifest(
-        config_text=config_text,
-        artifact_version=version,
-        wall_time_s=time.time() - t_start,
-        file_digests={str(Path(f).name): _digest(Path(f)) for f in files},
-    )
     path = Path(outdir) / "manifest.json"
-    write_json(
+    return write_json(
         path,
         {
-            "config": manifest.config_text,
-            "artifact_version": manifest.artifact_version,
-            "wall_time_s": manifest.wall_time_s,
-            "file_digests": manifest.file_digests,
+            "config": config_text,
+            "artifact_version": version,
+            "wall_time_s": time.time() - t_start,
+            "file_digests": {str(Path(f).name): _digest(Path(f)) for f in files},
         },
     )
-    return manifest

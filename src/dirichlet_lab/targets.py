@@ -12,6 +12,10 @@ contributes one s-interval per condition (each flowed coordinate is
 monotone in s, so endpoints solve in closed form), and the interval sets
 are combined exactly (complement-of-union for cube avoidance, union for
 slab hitting).
+
+`membership_profile` enumerates each lattice at most once and reads every
+(kind, r) off that one point set: the cubes, slabs and thickening windows
+are all nested in one enumerated cube.
 """
 
 from __future__ import annotations
@@ -153,23 +157,24 @@ def _slab_entry_interval(v, r: float, w: WeightPair):
     return (lo, hi) if hi - lo > _MIN_LEN else None
 
 
-def thickened_witness_intervals(
-    L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000
-):
+def _candidate_cube(window: float, d: int) -> Box:
+    """Closed cube holding every vector that can enter a base target within the window.
+
+    The flow over the window moves any coordinate by a factor at most
+    e^window and every base-target bound is below 1 + r/2d.
+    """
+    return Box.closed_cube(math.exp(window) * (1.0 + 1e-9), d)
+
+
+def _witness_intervals(candidates, spec: TargetSpec):
     """s-subsets of [0, window) on which g_s L lies in the base target.
 
-    Candidate vectors live in the closed cube of half-width e^window: the
-    flow over the window moves any coordinate by a factor at most e^window
-    and every base-target bound is below 1 + r/2d.
+    `candidates` are the lattice's nonzero points in _candidate_cube(spec.window).
     """
     w = spec.weights
-    window = spec.window
-    candidates = enumerate_in_box(
-        L, Box.closed_cube(math.exp(window) * (1.0 + 1e-9), L.d), cap=cap
-    )
     cube_hits = []
     slab_hits = []
-    for v in candidates:
+    for v in candidates.tolist():
         iv = _cube_entry_interval(v, spec.r, w)
         if iv is not None:
             cube_hits.append(iv)
@@ -177,38 +182,76 @@ def thickened_witness_intervals(
             iv = _slab_entry_interval(v, spec.r, w)
             if iv is not None:
                 slab_hits.append(iv)
-    avoid = complement_within(merge_intervals(cube_hits), 0.0, window)
+    avoid = complement_within(merge_intervals(cube_hits), 0.0, spec.window)
     if spec.base_kind == KIND_SUB:
         return avoid
     return intersect_intervals(avoid, merge_intervals(slab_hits))
 
 
+def thickened_witness_intervals(
+    L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000
+):
+    """s-subsets of [0, window) on which g_s L lies in the base target."""
+    candidates = enumerate_in_box(L, _candidate_cube(spec.window, L.d), cap=cap)
+    return _witness_intervals(candidates, spec)
+
+
 def membership_profile(
     L: UnimodularLattice, kinds, r_values, w: WeightPair | None, cap: int = 500_000
 ) -> dict:
-    """Exact membership of L for every (kind, r), asking each question once.
+    """Exact membership of L for every (kind, r), from at most one enumeration.
 
-    Per r the open-cube probe runs at most once and decides `sub`; the slab
-    probe runs only for `primed` and only when `sub` holds.  Thickened
-    kinds go through `thickened_witness_intervals`.  Every probe reads the
-    lattice's one cached reduction.
+    With a thickened kind, the candidate cube of the widest window is
+    enumerated; a narrower window's candidates are the rows inside its own
+    cube (the same rows, in the same order, as enumerating that cube), and
+    `sub`/`primed` are read off the same rows.  Otherwise an early-exit
+    probe of the smallest open cube e^-r_max comes first: a point there
+    puts L outside every sub(r) and primed(r).  If it finds none, a single
+    r takes an early-exit probe of its slab, and several r one enumeration
+    of a closed cube holding every open cube and slab.  Every answer equals
+    the single query's.
     """
+    specs = [TargetSpec(kind, r, w if kind in _WINDOWS else None) for r in r_values for kind in kinds]
+    windows = sorted({spec.window for spec in specs if spec.thick}, reverse=True)
+    if windows and (w.m, w.n) != (L.dims.m, L.dims.n):
+        raise ValidationError("target weights do not match lattice dims")
+    d = L.d
+    points = None
+    candidates = {}
+    if windows:
+        points = enumerate_in_box(L, _candidate_cube(windows[0], d), cap=cap)
+        candidates = {
+            window: points[_candidate_cube(window, d).contains_rows(points)] for window in windows
+        }
+    radii = list(dict.fromkeys(spec.r for spec in specs if not spec.thick))
+    primed = any(spec.kind == KIND_PRIMED for spec in specs)
+    in_cube = {}  # r -> some nonzero point lies in the open cube (-e^-r, e^-r)^d
+    in_slab = {}  # r -> some nonzero point lies in r_box(r, d)
+    if radii:
+        r_max = max(radii)
+        if points is None and has_nonzero_point(L, Box.open_cube(math.exp(-r_max), d), cap=cap):
+            in_cube = dict.fromkeys(radii, True)  # the cube at r_max lies in every other
+        elif points is None and len(radii) == 1:
+            in_cube = {r_max: False}
+            if primed:
+                in_slab = {r_max: has_nonzero_point(L, r_box(r_max, d), cap=cap)}
+        else:
+            cubes = [Box.open_cube(math.exp(-r), d) for r in radii]
+            slabs = [r_box(r, d) for r in radii] if primed else []
+            if points is None:
+                half = max(abs(x) for box in cubes + slabs for x in box.lower + box.upper)
+                points = enumerate_in_box(L, Box.closed_cube(half, d), cap=cap)
+            in_cube = {r: bool(box.contains_rows(points).any()) for r, box in zip(radii, cubes)}
+            in_slab = {r: bool(box.contains_rows(points).any()) for r, box in zip(radii, slabs)}
     out = {}
-    for r in r_values:
-        sub = None
-        for kind in kinds:
-            spec = TargetSpec(kind, r, w if kind in _WINDOWS else None)
-            if spec.thick:
-                if (w.m, w.n) != (L.dims.m, L.dims.n):
-                    raise ValidationError("target weights do not match lattice dims")
-                out[(kind, r)] = bool(thickened_witness_intervals(L, spec, cap=cap))
-                continue
-            if sub is None:
-                sub = not has_nonzero_point(L, Box.open_cube(math.exp(-r), L.d), cap=cap)
-            if kind == KIND_SUB or not sub:
-                out[(kind, r)] = sub
-            else:
-                out[(kind, r)] = has_nonzero_point(L, r_box(r, L.d), cap=cap)
+    for spec in specs:
+        key = (spec.kind, spec.r)
+        if spec.kind == KIND_SUB:
+            out[key] = not in_cube[spec.r]
+        elif spec.kind == KIND_PRIMED:
+            out[key] = not in_cube[spec.r] and in_slab[spec.r]
+        else:
+            out[key] = bool(_witness_intervals(candidates[spec.window], spec))
     return out
 
 
@@ -232,9 +275,7 @@ def in_target_grid_oracle(
         return in_target(L, spec, cap=cap)
     w = spec.weights
     window = spec.window
-    candidates = enumerate_in_box(
-        L, Box.closed_cube(math.exp(window) * (1.0 + 1e-9), L.d), cap=cap
-    )
+    candidates = enumerate_in_box(L, _candidate_cube(window, L.d), cap=cap)
     grid = np.arange(0.0, window, step)
     if candidates.shape[0] == 0:
         return spec.base_kind == KIND_SUB

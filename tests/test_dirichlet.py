@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -52,6 +53,18 @@ def test_records_dense_vs_walk():
         dense = _records_dense(num, den_exp, T)
         walk = _records_walk(Exact2D(num, den), T)
         assert dense == walk
+
+
+def test_records_dense_allocates_for_its_horizon():
+    num, den = float(substream(30, "recs", 1).random()).as_integer_ratio()
+    tracemalloc.start()
+    try:
+        dense = _records_dense(num, den.bit_length() - 1, 9999)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+    assert dense == _records_walk(Exact2D(num, den), 9999)
 
 
 def test_records_walk_large_horizon():

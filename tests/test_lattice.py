@@ -156,7 +156,7 @@ def test_enumerate_matches_bruteforce_random():
         grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
         C = np.stack([g.ravel() for g in grids])
         V = (L.basis @ C).T
-        hits = [v for v in V if box.contains(v) and np.max(np.abs(v)) > 1e-12]
+        hits = V[box.contains_rows(V) & (np.max(np.abs(V), axis=1) > 1e-12)]
         assert len(hits) == len(pts)
 
 
@@ -312,3 +312,183 @@ def test_reduction_is_computed_once_per_lattice(monkeypatch):
     assert lattice.has_nonzero_point(L, Box.open_cube(1.5, 3))
     assert len(calls) == 1
     assert np.array_equal(L.reduced.B, original(L.basis))
+
+
+def _enumerate_ball_scalar(R, center, radius, guard):
+    """Reference walk: the depth-first scalar enumeration, one coefficient tuple per leaf."""
+    d = R.B.shape[1]
+    T = R.T
+    y = R.signs * (R.Q.T @ center)
+    budget2 = radius * radius * (1.0 + 1e-9) + 1e-12
+
+    c = np.zeros(d, dtype=np.int64)
+    seen = 0
+
+    def rec(j, acc2):
+        nonlocal seen
+        if acc2 > budget2:
+            return
+        if j < 0:
+            yield tuple(int(v) for v in c)
+            return
+        shift = y[j] - sum(T[j, k] * c[k] for k in range(j + 1, d))
+        room = math.sqrt(max(budget2 - acc2, 0.0))
+        lo = math.ceil((shift - room) / T[j, j] - 1e-12)
+        hi = math.floor((shift + room) / T[j, j] + 1e-12)
+        for cj in range(lo, hi + 1):
+            seen += 1
+            if seen > guard:
+                raise CapExceeded(f"ball enumeration guard ({guard}) tripped")
+            c[j] = cj
+            term = T[j, j] * cj - shift
+            yield from rec(j - 1, acc2 + term * term)
+        c[j] = 0
+
+    yield from rec(d - 1, 0.0)
+
+
+def _rows_until_cap(blocks):
+    """Every row a walk yields before it ends, and whether it ended by CapExceeded."""
+    rows = []
+    try:
+        for block in blocks:
+            rows.extend(tuple(int(v) for v in row) for row in np.atleast_2d(block))
+    except CapExceeded:
+        return rows, True
+    return rows, False
+
+
+def _ball_cases():
+    """(label, lattice, center, radius): flowed and random bases at d = 2..6."""
+    for m, n in [(1, 1), (1, 2), (2, 2), (2, 3), (3, 3)]:
+        dims = DimensionParams(m, n)
+        d = dims.d
+        w = WeightPair.unweighted(m, n)
+        radii = (0.9, 1.7, 3.0) if d <= 4 else (0.9, 1.7)
+        for s in (0.0, 5.0, 10.0, 15.0):
+            for i in range(3):
+                A = sample_torus(substream(13, f"ball-{s}", i), m, n)
+                L = apply_flow(lattice_from_matrix(A, dims), s, w)
+                for radius in radii:
+                    yield (m, n, s, i, radius), L, np.zeros(d), radius
+        L = random_unimodular(dims, substream(13, "ball-random", d))
+        for radius in radii:
+            yield (m, n, "random", radius), L, np.zeros(d), radius
+            center = np.zeros(d)
+            center[0] = 1.0  # the slab's center
+            yield (m, n, "random-shifted", radius), L, center, radius
+
+
+def test_block_ball_walk_matches_scalar_reference():
+    for label, L, center, radius in _ball_cases():
+        R = L.reduced
+        blocks = list(lattice._enumerate_ball(R, center, radius, 10**7))
+        assert all(b.dtype == np.int64 and b.ndim == 2 and len(b) <= lattice._BLOCK_ROWS for b in blocks)
+        rows, _ = _rows_until_cap(blocks)
+        assert rows == list(_enumerate_ball_scalar(R, center, radius, 10**7)), label
+
+
+def test_block_ball_walk_splits_a_long_innermost_range():
+    # Z^2 flowed to s = 10: the short basis vector e^-10 e_2 gives one level-0
+    # range of ~44 000 coefficients, longer than a block
+    dims = DimensionParams(1, 1)
+    L = apply_flow(lattice_from_matrix(np.zeros((1, 1)), dims), 10.0, WeightPair.unweighted(1, 1))
+    R = L.reduced
+    blocks = list(lattice._enumerate_ball(R, np.zeros(2), 1.0, 10**7))
+    assert len(blocks) > 1
+    rows, _ = _rows_until_cap(blocks)
+    assert len(rows) > lattice._BLOCK_ROWS
+    assert rows == list(_enumerate_ball_scalar(R, np.zeros(2), 1.0, 10**7))
+
+
+@pytest.mark.parametrize("guard", [1, 7, 60, 500, 5000])
+def test_block_ball_walk_guard_matches_scalar_reference(guard):
+    # the block walk yields exactly the rows the scalar walk yields before the
+    # guard trips, then raises
+    cases = [
+        (L, center, radius)
+        for label, L, center, radius in _ball_cases()
+        if label[0] + label[1] <= 4 and label[2] in (0.0, 15.0, "random")
+    ]
+    dims = DimensionParams(1, 1)
+    long_range = apply_flow(lattice_from_matrix(np.zeros((1, 1)), dims), 10.0, WeightPair.unweighted(1, 1))
+    cases.append((long_range, np.zeros(2), 1.0))
+    trips = 0
+    for L, center, radius in cases:
+        R = L.reduced
+        block_rows, block_tripped = _rows_until_cap(lattice._enumerate_ball(R, center, radius, guard))
+        scalar_rows, scalar_tripped = _rows_until_cap(_enumerate_ball_scalar(R, center, radius, guard))
+        assert (block_rows, block_tripped) == (scalar_rows, scalar_tripped)
+        trips += block_tripped
+    assert trips > 0
+
+
+def test_stacked_points_equal_single_products():
+    for label, L, center, radius in _ball_cases():
+        R = L.reduced
+        expected = [
+            R.B @ np.array(c, dtype=float)
+            for c in _enumerate_ball_scalar(R, center, radius, 10**7)
+        ]
+        expected = [v for v in expected if not all(abs(x) < 1e-12 for x in v)]
+        got = list(lattice._nonzero_points(L, center, radius, 100_000))
+        if not expected:
+            assert not got, label
+            continue
+        got = np.concatenate(got)
+        assert got.shape == (len(expected), L.d), label
+        assert np.array_equal(got, np.array(expected)), label  # bit for bit
+
+
+def _contains_scalar(box, v):
+    """Reference for Box.contains: the per-coordinate scalar test."""
+
+    def tol(bound):
+        return 1e-12 * max(1.0, abs(bound))
+
+    for x, lo, hi, lo_open, hi_open in zip(v, box.lower, box.upper, box.lower_open, box.upper_open):
+        if lo_open:
+            if not lo < x - tol(x):
+                return False
+        elif x < lo - tol(lo):
+            return False
+        if hi_open:
+            if not x < hi - tol(hi):
+                return False
+        elif x > hi + tol(hi):
+            return False
+    return True
+
+
+def _around(x, steps=3):
+    """x and its `steps` float neighbours on either side."""
+    out = [x]
+    lo = hi = x
+    for _ in range(steps):
+        lo = np.nextafter(lo, -np.inf)
+        hi = np.nextafter(hi, np.inf)
+        out += [lo, hi]
+    return out
+
+
+@pytest.mark.parametrize("lower,upper", [((-1.5, 0.25), (0.75, 2.5)), ((-0.5, -3.0), (0.5, -2.0))])
+def test_contains_rows_matches_scalar_test_at_every_face(lower, upper):
+    values = []
+    for i in range(2):
+        vals = set()
+        for b in (lower[i], upper[i]):
+            t = 1e-12 * max(1.0, abs(b))
+            for edge in (b, b - t, b + t, b / (1.0 - 1e-12), b / (1.0 + 1e-12)):
+                vals.update(float(x) for x in _around(edge))
+        vals.add(0.5 * (lower[i] + upper[i]))
+        values.append(sorted(vals))
+    V = np.array([(x, y) for x in values[0] for y in values[1]])
+    for flags in range(16):
+        lower_open = (bool(flags & 1), bool(flags & 2))
+        upper_open = (bool(flags & 4), bool(flags & 8))
+        box = Box(lower, upper, lower_open, upper_open)
+        rows = box.contains_rows(V)
+        expected = np.array([_contains_scalar(box, v) for v in V])
+        assert np.array_equal(rows, expected), flags
+        assert 0 < expected.sum() < len(V)
+        assert [box.contains(v) for v in V] == expected.tolist()

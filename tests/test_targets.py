@@ -3,13 +3,17 @@ import math
 import numpy as np
 import pytest
 
+from dirichlet_lab import targets
 from dirichlet_lab.approx import DimensionParams
 from dirichlet_lab.errors import ValidationError
 from dirichlet_lab.lattice import (
+    Box,
     UnimodularLattice,
     WeightPair,
     apply_flow,
+    has_nonzero_point,
     lattice_from_matrix,
+    r_box,
     random_unimodular,
     standard_lattice,
 )
@@ -182,3 +186,64 @@ def test_membership_profile_validates():
         membership_profile(L, [KIND_THICK], [0.2], None)
     with pytest.raises(ValidationError):
         membership_profile(L, [KIND_THICK], [0.2], W11)
+
+
+def _single_query(L, kind, r, w):
+    """One (kind, r) answer from its own has_nonzero_point / enumerate_in_box calls."""
+    L = UnimodularLattice(L.basis, L.dims)  # no cached reduction
+    if kind in (KIND_THICK, KIND_THICK_PRIMED):
+        return bool(thickened_witness_intervals(L, TargetSpec(kind, r, w)))
+    sub = not has_nonzero_point(L, Box.open_cube(math.exp(-r), L.d))
+    if kind == KIND_SUB or not sub:
+        return sub
+    return has_nonzero_point(L, r_box(r, L.d))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        WeightPair.unweighted(1, 2),
+        WeightPair.unweighted(2, 1),
+        WeightPair(alpha=(1.0,), beta=(0.7, 0.3)),
+        WeightPair.unweighted(2, 2),
+        WeightPair(alpha=(0.6, 0.4), beta=(0.5, 0.5)),
+        WeightPair.unweighted(1, 3),
+    ],
+)
+def test_membership_profile_matches_separate_enumerations(w):
+    dims = w.dims
+    kinds = [KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED]
+    radii = [0.02, 0.1, 0.3, 0.6, 0.95]
+    kind_sets = [kinds, [KIND_SUB, KIND_PRIMED], [KIND_PRIMED], [KIND_SUB], [KIND_THICK_PRIMED, KIND_SUB]]
+    seen = {kind: 0 for kind in kinds}
+    for i in range(24):
+        A = sample_torus(substream(14, f"profile-{w}", i), dims.m, dims.n)
+        L = apply_flow(lattice_from_matrix(A, dims), (5.0, 10.0, 12.0)[i % 3], w)
+        expected = {(kind, r): _single_query(L, kind, r, w) for r in radii for kind in kinds}
+        for kind in kinds:
+            seen[kind] += sum(expected[(kind, r)] for r in radii)
+        for chosen in kind_sets:
+            for rs in (radii, [radii[i % len(radii)]]):
+                profile = membership_profile(UnimodularLattice(L.basis, dims), chosen, rs, w)
+                assert list(profile) == [(kind, r) for r in rs for kind in chosen]
+                for key, hit in profile.items():
+                    assert type(hit) is bool and hit == expected[key], (i, chosen, key)
+    # the samples reach both answers for every kind
+    for kind in kinds:
+        assert 0 < seen[kind] < 24 * len(radii), kind
+
+
+def test_cusp_lattice_profile_exits_early(monkeypatch):
+    # A = 0 flowed to s = 15: the cube of half-width ~1 holds ~1e7 lattice
+    # points, but the probe of the smallest cube finds one at once
+    dims = DimensionParams(1, 2)
+    w = WeightPair.unweighted(1, 2)
+    L = apply_flow(lattice_from_matrix(np.zeros((1, 2)), dims), 15.0, w)
+
+    def no_box_enumeration(*args, **kwargs):
+        raise AssertionError("membership_profile enumerated a box")
+
+    monkeypatch.setattr(targets, "enumerate_in_box", no_box_enumeration)
+    radii = [0.02, 0.05, 0.1, 0.2]
+    profile = membership_profile(L, [KIND_SUB, KIND_PRIMED], radii, w)
+    assert profile == {(kind, r): False for r in radii for kind in (KIND_SUB, KIND_PRIMED)}
