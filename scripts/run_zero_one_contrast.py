@@ -27,7 +27,6 @@ def main():
     ap.add_argument("--k-max", type=int, default=100)
     ap.add_argument("--a", type=float, default=0.9)
     ap.add_argument("--seed", type=int, default=20260808)
-    ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
 
     dims = DimensionParams(1, 1)
@@ -41,7 +40,7 @@ def main():
         rate = RateFunction.from_psi(psi, dims)
         rep = empirical_zero_one(
             rate, w, args.ensemble, (args.k_min, args.k_max), args.a,
-            seed=args.seed, threads=args.threads,
+            seed=args.seed,
         )
         freqs[name] = rep.tail_frequency
         print(f"{name}: tail hit frequency {rep.tail_frequency:.4f}  "

@@ -2,9 +2,10 @@
 
 Subcommands: classify, dani, check, measure, orbit, disjoint, crossval.
 Every flag has a config-file equivalent (flat key=value; --set overrides);
---seed, --threads, --out are global.  Exit codes: 0 success, 1 validation
-error, 2 budget error.  Thread count never changes any output byte: work
-is keyed by sample index and aggregated in index order.
+--seed and --out are global.  Exit codes: 0 success, 1 validation error,
+2 budget error.  Work is keyed by sample index and aggregated in index
+order.  --threads is validated (>= 1) and otherwise ignored: all work runs
+on one thread, because the lab's pure-Python work gained nothing from more.
 """
 
 from __future__ import annotations
@@ -52,7 +53,9 @@ def _build_parser() -> _Parser:
     common.add_argument("--config", type=str, help="config file (key=value lines)")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     common.add_argument("--seed", type=int)
-    common.add_argument("--threads", type=int)
+    common.add_argument(
+        "--threads", type=int, help="accepted and validated (>= 1); work runs on one thread"
+    )
     common.add_argument("--out", type=str)
 
     p = sub.add_parser("classify", parents=[common], help="series verdict for psi")
@@ -234,9 +237,7 @@ def _run_measure(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         r_values = list(np.geomspace(r_lo, r_hi, count))
     N = cfg.get_int("measure.n", 10_000)
     s_push = cfg.get_float("measure.s_push", 10.0)
-    profile = measure_profile(
-        kinds, r_values, w, s_push, N, seed, threads=cfg.get_int("threads")
-    )
+    profile = measure_profile(kinds, r_values, w, s_push, N, seed)
     rows = []
     for kind in kinds:
         for r in r_values:
@@ -329,9 +330,7 @@ def _run_orbit(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         print(f"hits: {int(series.hits.sum())} / {len(series.hits)}")
         return 0
     ensemble = cfg.get_int("ensemble", 100)
-    report = empirical_zero_one(
-        rate, w, ensemble, (k_lo, k_hi), a, seed, threads=cfg.get_int("threads")
-    )
+    report = empirical_zero_one(rate, w, ensemble, (k_lo, k_hi), a, seed)
     rows = []
     for member, series in enumerate(report.hit_series):
         for offset, hit in enumerate(series):
@@ -397,7 +396,7 @@ def _run_crossval(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         return a, rep
 
     counterexamples = []
-    for idx, (a, rep) in enumerate(indexed_map(member, ensemble, cfg.get_int("threads"))):
+    for idx, (a, rep) in enumerate(indexed_map(member, ensemble)):
         if not rep.consistent:
             counterexamples.append({"member": idx, "alpha": a, "items": rep.counterexamples})
     files.append(

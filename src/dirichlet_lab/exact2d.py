@@ -26,10 +26,13 @@ from __future__ import annotations
 import math
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
+from .targets import _MIN_LEN, _WINDOWS, KIND_PRIMED, KIND_SUB, KIND_THICK_PRIMED
+from .targets import complement_within as _complement
+from .targets import intersect_intervals as _intersect
+from .targets import merge_intervals as _merge
 
 _LOG2 = math.log(2.0)
 MAX_SIGMA = 250.0  # scaled norms stay within double range below this
-_MIN_LEN = 1e-12
 
 
 def log_int(n: int) -> float:
@@ -41,50 +44,6 @@ def log_int(n: int) -> float:
         return math.log(n)
     shift = bits - 53
     return math.log(n >> shift) + shift * _LOG2
-
-
-def _merge(intervals):
-    ivs = sorted((lo, hi) for lo, hi in intervals if hi - lo > _MIN_LEN)
-    out = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1] + _MIN_LEN:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def _complement(intervals, lo, hi):
-    out = []
-    cursor = lo
-    for a, b in intervals:
-        if b <= cursor:
-            continue
-        if a > hi:
-            break
-        if a - cursor > _MIN_LEN:
-            out.append((cursor, min(a, hi)))
-        cursor = max(cursor, b)
-        if cursor >= hi:
-            break
-    if hi - cursor > _MIN_LEN:
-        out.append((cursor, hi))
-    return out
-
-
-def _intersect(xs, ys):
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if hi - lo > _MIN_LEN:
-            out.append((lo, hi))
-        if xs[i][1] < ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 class Exact2D:
@@ -261,20 +220,50 @@ class Exact2D:
         eps = r / 4.0
         n_hi = self._n_threshold(-sigma + math.log1p(eps))
         q_max = int(math.sqrt(r) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
-        out = []
-        for n, q in self._box_points(n_hi, q_max):
-            if n == 0:
-                continue
-            first = sigma + log_int(abs(n)) - self.log_den
-            if not math.log1p(-eps) < first < math.log1p(eps):
-                continue
-            if q != 0 and -sigma + log_int(abs(q)) >= 0.5 * math.log(r):
-                continue
-            out.append((n, q) if n > 0 else (-n, -q))
-        return out
+        return [
+            (n, q) if n > 0 else (-n, -q)
+            for n, q in self._box_points(n_hi, q_max)
+            if self._in_slab(n, q, sigma, r)
+        ]
+
+    def _in_slab(self, n: int, q: int, sigma: float, r: float) -> bool:
+        """Does g_sigma (N/den, q) lie in the slab of slab_points, up to sign?"""
+        if n == 0:
+            return False
+        eps = r / 4.0
+        first = sigma + log_int(abs(n)) - self.log_den
+        if not math.log1p(-eps) < first < math.log1p(eps):
+            return False
+        return q == 0 or -sigma + log_int(abs(q)) < 0.5 * math.log(r)
 
     def in_primed(self, sigma: float, r: float) -> bool:
         return self.in_sub(sigma, r) and bool(self.slab_points(sigma, r))
+
+    def membership_profile(self, sigma: float, kinds, r_values) -> dict:
+        """{(kind, r): g_sigma L_A in the target} for every kind and r.
+
+        The exact counterpart of targets.membership_profile, whose callers
+        validate (kind, r) through TargetSpec.  Delta is computed once and
+        the slab enumerated once, at the largest r: every smaller slab lies
+        inside it, so each primed(r) is read off those points.  Thickened
+        kinds flow over [sigma, sigma + window), windows as in targets.
+        """
+        if KIND_SUB in kinds or KIND_PRIMED in kinds:
+            delta = self.delta_flowed(sigma)
+            slab = self.slab_points(sigma, max(r_values)) if KIND_PRIMED in kinds else []
+        out = {}
+        for kind in kinds:
+            for r in r_values:
+                if kind == KIND_SUB:
+                    hit = delta <= r + 1e-12
+                elif kind == KIND_PRIMED:
+                    hit = delta <= r + 1e-12 and any(
+                        self._in_slab(n, q, sigma, r) for n, q in slab
+                    )
+                else:
+                    hit = self.hits_thick(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED)
+                out[(kind, r)] = hit
+        return out
 
     # -- thickened membership via s-interval analysis -----------------------
 

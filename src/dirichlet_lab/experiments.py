@@ -29,6 +29,7 @@ from .parallel import indexed_map
 from .rate import RateFunction, dani_rate, dani_time, s0_of
 from .rng import sample_torus_fixedpoint, substream
 from .targets import (
+    _WINDOWS,
     KIND_PRIMED,
     KIND_THICK,
     KIND_THICK_PRIMED,
@@ -106,7 +107,8 @@ def orbit_hit_series(
     if np.any((radii <= 0) | (radii >= 1)):
         raise ValidationError("variant radii must lie in (0,1) over the range")
     primed = variant == VARIANT_NDI
-    window = 0.5 if primed else 1.0
+    kind = KIND_THICK_PRIMED if primed else KIND_THICK
+    window = _WINDOWS[kind]
     hits = np.zeros(k_hi - k_lo + 1, dtype=bool)
     if scalar:
         if isinstance(A, tuple):
@@ -125,7 +127,6 @@ def orbit_hit_series(
         from .lattice import lattice_from_matrix
 
         L = lattice_from_matrix(np.asarray(A, dtype=float), w.dims)
-        kind = KIND_THICK_PRIMED if primed else KIND_THICK
         for idx, k in enumerate(range(k_lo, k_hi + 1)):
             spec = TargetSpec(kind, float(radii[idx]), w)
             hits[idx] = in_target(apply_flow(L, float(k), w), spec)
@@ -174,13 +175,12 @@ def empirical_zero_one(
     a: float,
     seed: int,
     label: str = "zeroone",
-    threads: int = 1,
 ) -> ContrastReport:
     """Tail hit frequency of the primed shrinking-target series over an ensemble.
 
     Divergent rate series predict persistent tail hitting; convergent ones
     predict vanishing tail frequency.  Members run on index-keyed
-    substreams, so the thread count cannot affect any number.
+    substreams, so evaluation order cannot affect any number.
     """
     if ensemble < 50:
         raise ValidationError("ensemble must be >= 50")
@@ -199,7 +199,7 @@ def empirical_zero_one(
         )
         return int(series.hits.sum()), series.tail_hit(), series.hits.astype(int).tolist()
 
-    results = indexed_map(member, ensemble, threads)
+    results = indexed_map(member, ensemble)
     hit_counts = [r[0] for r in results]
     tail_hits = [r[1] for r in results]
     return ContrastReport(

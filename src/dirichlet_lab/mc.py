@@ -21,11 +21,10 @@ import numpy as np
 
 from .approx import DimensionParams
 from .errors import DomainError, ValidationError
-from .exact2d import Exact2D, log_int
+from .exact2d import Exact2D
 from .lattice import WeightPair, apply_flow, lattice_from_matrix
-from .parallel import indexed_map
 from .rng import sample_torus, substream
-from .targets import KIND_PRIMED, KIND_SUB, TargetSpec, membership_profile
+from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profile
 
 _Z95 = 1.959963984540054
 
@@ -83,40 +82,6 @@ def _estimate(hits: int, n: int, scale: float, hash_parts) -> McEstimate:
     )
 
 
-def _exact_membership_profile(ex: Exact2D, s_push: float, kinds, r_values):
-    """Per-sample hits for all (kind, r) pairs at once (m = n = 1 path)."""
-    out = {}
-    need_plain = any(k in (KIND_SUB, KIND_PRIMED) for k in kinds)
-    if need_plain:
-        delta_val = ex.delta_flowed(s_push)
-        r_max = max(r_values)
-        slab = ex.slab_points(s_push, r_max) if KIND_PRIMED in kinds else []
-    for kind in kinds:
-        for r in r_values:
-            if kind == KIND_SUB:
-                out[(kind, r)] = delta_val <= r + 1e-12
-            elif kind == KIND_PRIMED:
-                if delta_val > r + 1e-12:
-                    out[(kind, r)] = False
-                    continue
-                eps = r / 4.0
-                hit = False
-                for n, q in slab:
-                    first = s_push + log_int(n) - ex.log_den
-                    if not math.log1p(-eps) < first < math.log1p(eps):
-                        continue
-                    if q != 0 and -s_push + log_int(abs(q)) >= 0.5 * math.log(r):
-                        continue
-                    hit = True
-                    break
-                out[(kind, r)] = hit
-            else:
-                primed = kind == "thick_primed"
-                window = 0.5 if primed else 1.0
-                out[(kind, r)] = ex.hits_thick(s_push, window, r, primed)
-    return out
-
-
 def measure_profile(
     kinds,
     r_values,
@@ -125,12 +90,12 @@ def measure_profile(
     N: int,
     seed: int,
     label: str = "measure",
-    threads: int = 1,
 ):
     """McEstimate for every (kind, r) on shared samples (common random numbers).
 
-    Hit counts are exact integers aggregated per index block, so the result
-    is scheduler-independent.
+    Every (kind, r) is validated once as a TargetSpec.  Each sample then
+    reads all of them off one membership profile: exact at m = n = 1
+    (Exact2D.membership_profile), float otherwise (targets.membership_profile).
     """
     if s_push < 5.0:
         raise ValidationError("s_push must be >= 5 (push-time bias guard)")
@@ -138,33 +103,20 @@ def measure_profile(
         raise ValidationError("N must be >= 1000")
     kinds = list(kinds)
     r_values = [float(r) for r in r_values]
+    specs = [TargetSpec(kind, r, w) for kind in kinds for r in r_values]
+    counts = {(spec.kind, spec.r): 0 for spec in specs}
     dims = w.dims
-    keys = [(kind, r) for kind in kinds for r in r_values]
     scalar = dims.m == 1 and dims.n == 1
-
-    def sample_hits(i: int):
+    for i in range(N):
         A = sample_torus(substream(seed, label, i), dims.m, dims.n)
         if scalar:
             ex = Exact2D.from_float(float(A[0, 0]))
-            return _exact_membership_profile(ex, s_push, kinds, r_values)
-        L = apply_flow(lattice_from_matrix(A, dims), s_push, w)
-        return membership_profile(L, kinds, r_values, w)
-
-    def block(b: int):
-        lo = b * block_size
-        hi = min(lo + block_size, N)
-        local = {key: 0 for key in keys}
-        for i in range(lo, hi):
-            for key, hit in sample_hits(i).items():
-                local[key] += hit
-        return local
-
-    block_size = max(1, (N + 4 * threads - 1) // (4 * threads)) if threads > 1 else N
-    n_blocks = (N + block_size - 1) // block_size
-    counts = {key: 0 for key in keys}
-    for local in indexed_map(block, n_blocks, threads):
-        for key in keys:
-            counts[key] += local[key]
+            hits = ex.membership_profile(s_push, kinds, r_values)
+        else:
+            L = apply_flow(lattice_from_matrix(A, dims), s_push, w)
+            hits = membership_profile(L, kinds, r_values, w)
+        for key, hit in hits.items():
+            counts[key] += hit
     return {
         key: _estimate(
             counts[key], N, 1.0, (key[0], key[1], dims.m, dims.n, s_push, N, seed, label)
@@ -427,17 +379,18 @@ def pair_correlation(
         raise ValidationError("N must be >= 100")
     r_i = 2.0 * float(rho(i))
     r_j = 2.0 * float(rho(j))
+    window = _WINDOWS[KIND_THICK_PRIMED]
     c_i = c_j = c_ij = 0
     for idx in range(N):
         a1 = float(sample_torus(substream(seed, label, idx), 1, 1)[0, 0])
         ex1 = Exact2D.from_float(a1)
-        h_i = ex1.hits_thick(float(i), 0.5, r_i, primed=True)
+        h_i = ex1.hits_thick(float(i), window, r_i, primed=True)
         if independent:
             a2 = float(sample_torus(substream(seed, label + "-indep", idx), 1, 1)[0, 0])
             ex2 = Exact2D.from_float(a2)
         else:
             ex2 = ex1
-        h_j = ex2.hits_thick(float(j), 0.5, r_j, primed=True)
+        h_j = ex2.hits_thick(float(j), window, r_j, primed=True)
         c_i += h_i
         c_j += h_j
         c_ij += h_i and h_j

@@ -1,25 +1,14 @@
-"""Deterministic indexed parallelism.
+"""Deterministic indexed map.
 
-Work is keyed by item index and results are collected into index order, so
-the thread count can never change a result byte; worker randomness must
-come from index-keyed substreams.
+Work is keyed by item index and results are collected in index order;
+worker randomness comes from index-keyed substreams, so no result byte
+depends on evaluation order.  The map is serial: the lab's work is pure
+Python, and a thread pool over it measured no faster than one thread.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 
-from .errors import ValidationError
-
-
-def indexed_map(fn, count: int, threads: int = 1) -> list:
-    """[fn(0), ..., fn(count-1)], evaluated with up to `threads` workers."""
-    if threads < 1:
-        raise ValidationError("threads must be >= 1")
-    if threads == 1 or count <= 1:
-        return [fn(i) for i in range(count)]
-    results = [None] * count
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for idx, value in zip(range(count), pool.map(fn, range(count))):
-            results[idx] = value
-    return results
+def indexed_map(fn, count: int) -> list:
+    """[fn(0), ..., fn(count-1)], in index order."""
+    return [fn(i) for i in range(count)]

@@ -135,6 +135,22 @@ def test_cli_budget_exit_code(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kinds,r_values", [("foo", "0.2"), ("sub", "1.5")])
+def test_cli_measure_d2_rejects_bad_targets(tmp_path, capsys, kinds, r_values):
+    # m = n = 1 (exact path) validates targets as d >= 3 does
+    code = cli_main(
+        [
+            "measure",
+            "--kinds", kinds,
+            "--r-values", r_values,
+            "--N", "1000",
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    assert "error" in capsys.readouterr().err
+
+
 def test_cli_measure_determinism_and_threads(tmp_path):
     def run(sub, threads):
         out = tmp_path / sub

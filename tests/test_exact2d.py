@@ -12,6 +12,7 @@ from dirichlet_lab.targets import (
     KIND_SUB,
     KIND_THICK,
     KIND_THICK_PRIMED,
+    _WINDOWS,
     TargetSpec,
     in_target,
 )
@@ -105,6 +106,29 @@ def test_thick_membership_grid_oracle_deep_flow():
                     continue  # boundary band
                 oracle_hits.append(ex.in_primed(float(s), r))
             assert any(oracle_hits) == hit
+
+
+def test_membership_profile_matches_single_queries():
+    # the measure-d2 grid: 8 radii geometric on [0.02, 0.2]
+    r_values = [float(r) for r in np.geomspace(0.02, 0.2, 8)]
+    kinds = [KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED]
+    seen = {kind: set() for kind in kinds}
+    for bits in (64, 192):
+        for i in range(12):
+            num, den = sample_torus_fixedpoint(substream(15, "x2d-profile", i), 1, 1, bits)
+            ex = Exact2D(num[0][0], den)
+            for sigma in (5.0, 10.0, 40.0):
+                profile = ex.membership_profile(sigma, kinds, r_values)
+                assert list(profile) == [(kind, r) for kind in kinds for r in r_values]
+                for r in r_values:
+                    assert profile[(KIND_SUB, r)] == ex.in_sub(sigma, r)
+                    assert profile[(KIND_PRIMED, r)] == ex.in_primed(sigma, r)
+                    for kind in (KIND_THICK, KIND_THICK_PRIMED):
+                        single = ex.hits_thick(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED)
+                        assert profile[(kind, r)] == single
+                for key, hit in profile.items():
+                    seen[key[0]].add(hit)
+    assert all(values == {False, True} for values in seen.values())
 
 
 def test_orbit_escapes_for_low_precision_rational():
