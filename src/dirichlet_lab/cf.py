@@ -121,8 +121,6 @@ def cf_uncovered_intervals(alpha: float, psi: PsiFunction, T: float, hard_cap: i
     is [psi^{-1}(err_k), q_{k+1}] clipped to the scan domain.
     """
     cf = cf_expand(alpha, hard_cap)
-    if not cf.convergents:
-        raise ValidationError("no convergents (alpha too close to rational)")
     t_start = psi.t0
     t_cap = 10.0 * T
     out = []

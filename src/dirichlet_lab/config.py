@@ -31,8 +31,6 @@ from .errors import ValidationError
 from .lattice import WeightPair
 from .rate import RateFunction, clamp_rate
 
-SUBCOMMANDS = ("classify", "dani", "check", "measure", "orbit", "disjoint", "crossval")
-
 DEFAULTS = {
     "seed": "0",
     "threads": "1",
@@ -193,7 +191,3 @@ class ExperimentConfig:
             raise ValidationError(f"{key}: ragged matrix rows")
         return np.array(data)
 
-
-def parse_matrix_text(text: str) -> np.ndarray:
-    cfg = ExperimentConfig({"A": text})
-    return cfg.matrix("A")

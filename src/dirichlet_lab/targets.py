@@ -11,7 +11,9 @@ Thickened membership is decided without any s-grid: every candidate vector
 contributes one s-interval per condition (each flowed coordinate is
 monotone in s, so endpoints solve in closed form), and the interval sets
 are combined exactly (complement-of-union for cube avoidance, union for
-slab hitting).
+slab hitting).  `witness_from_logs` is the one copy of those formulas.  It
+reads only the candidates' log-moduli, so the float path here and the
+exact d = 2 engine in exact2d (logs of exact integers) share it.
 
 `membership_profile` enumerates each lattice at most once and reads every
 (kind, r) off that one point set: the cubes, slabs and thickening windows
@@ -120,41 +122,60 @@ def intersect_intervals(xs, ys):
     return out
 
 
-def _cube_entry_interval(v, r: float, w: WeightPair):
-    """s-interval on which g_s v lies in the open cube (-e^-r, e^-r)^d."""
-    m = w.m
-    lo, hi = -math.inf, math.inf
-    for i, a in enumerate(w.alpha):
-        x = abs(v[i])
-        if x > 0.0:
-            hi = min(hi, (-r - math.log(x)) / a)
-    for j, b in enumerate(w.beta):
-        x = abs(v[m + j])
-        if x > 0.0:
-            lo = max(lo, (r + math.log(x)) / b)
-    return (lo, hi) if hi - lo > _MIN_LEN else None
+def witness_from_logs(rows, spec: TargetSpec, lo: float, hi: float):
+    """s-subsets of [lo, hi] on which g_s L lies in spec's base target.
 
-
-def _slab_entry_interval(v, r: float, w: WeightPair):
-    """s-interval on which g_s v lies in the slab r_box(r, d)."""
-    m, d = w.m, w.m + w.n
-    if v[0] <= 0.0:
-        return None
-    eps = r / (2 * d)
-    half_log_r = 0.5 * math.log(r)
-    lo = math.log1p(-eps) - math.log(v[0])
-    hi = math.log1p(eps) - math.log(v[0])
-    lo /= w.alpha[0]
-    hi /= w.alpha[0]
-    for i in range(1, m):
-        x = abs(v[i])
-        if x > 0.0:
-            hi = min(hi, (half_log_r - math.log(x)) / w.alpha[i])
-    for j, b in enumerate(w.beta):
-        x = abs(v[m + j])
-        if x > 0.0:
-            lo = max(lo, (math.log(x) - half_log_r) / b)
-    return (lo, hi) if hi - lo > _MIN_LEN else None
+    One row (logs, slab_ok) per candidate point v of L: logs[i] = log|v_i|,
+    -inf where v_i = 0, and slab_ok says whether v, up to sign, can reach the
+    slab near +e_1.  Each flowed coordinate e^{alpha_i s}|v_i| or
+    e^{-beta_j s}|v_j| is monotone in s, so v's cube-entry and slab-entry
+    s-intervals solve in closed form; L avoids the cube off the union of the
+    former and, for primed kinds, hits the slab on the union of the latter.
+    """
+    w = spec.weights
+    m, alpha, beta = w.m, w.alpha, w.beta
+    r = spec.r
+    neg_r = -r
+    primed = spec.base_kind == KIND_PRIMED
+    if primed:
+        eps = r / (2 * (m + w.n))
+        half_log_r = 0.5 * math.log(r)
+        near, far = math.log1p(-eps), math.log1p(eps)
+        a0, alpha_rest = alpha[0], alpha[1:]
+    cube_hits = []
+    slab_hits = []
+    for logs, slab_ok in rows:
+        logs_beta = logs[m:]
+        s_hi = math.inf
+        for x, a in zip(logs, alpha):
+            t = (neg_r - x) / a
+            if t < s_hi:
+                s_hi = t
+        s_lo = -math.inf
+        for x, b in zip(logs_beta, beta):
+            t = (r + x) / b
+            if t > s_lo:
+                s_lo = t
+        if s_hi - s_lo > _MIN_LEN:
+            cube_hits.append((s_lo, s_hi))
+        if primed and slab_ok:
+            x0 = logs[0]
+            s_lo = (near - x0) / a0
+            s_hi = (far - x0) / a0
+            for x, a in zip(logs[1:m], alpha_rest):
+                t = (half_log_r - x) / a
+                if t < s_hi:
+                    s_hi = t
+            for x, b in zip(logs_beta, beta):
+                t = (x - half_log_r) / b
+                if t > s_lo:
+                    s_lo = t
+            if s_hi - s_lo > _MIN_LEN:
+                slab_hits.append((s_lo, s_hi))
+    avoid = complement_within(merge_intervals(cube_hits), lo, hi)
+    if not primed:
+        return avoid
+    return intersect_intervals(avoid, merge_intervals(slab_hits))
 
 
 def _candidate_cube(window: float, d: int) -> Box:
@@ -171,21 +192,8 @@ def _witness_intervals(candidates, spec: TargetSpec):
 
     `candidates` are the lattice's nonzero points in _candidate_cube(spec.window).
     """
-    w = spec.weights
-    cube_hits = []
-    slab_hits = []
-    for v in candidates.tolist():
-        iv = _cube_entry_interval(v, spec.r, w)
-        if iv is not None:
-            cube_hits.append(iv)
-        if spec.base_kind == KIND_PRIMED:
-            iv = _slab_entry_interval(v, spec.r, w)
-            if iv is not None:
-                slab_hits.append(iv)
-    avoid = complement_within(merge_intervals(cube_hits), 0.0, spec.window)
-    if spec.base_kind == KIND_SUB:
-        return avoid
-    return intersect_intervals(avoid, merge_intervals(slab_hits))
+    rows = (([math.log(abs(x)) if x else -math.inf for x in v], v[0] > 0.0) for v in candidates.tolist())
+    return witness_from_logs(rows, spec, 0.0, spec.window)
 
 
 def thickened_witness_intervals(

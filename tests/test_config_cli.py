@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirichlet_lab.cli import cli_main
-from dirichlet_lab.config import ExperimentConfig, parse_matrix_text
+from dirichlet_lab.config import ExperimentConfig
 from dirichlet_lab.errors import ValidationError
 
 
@@ -32,12 +33,15 @@ def test_config_rejects_garbage():
 
 
 def test_matrix_parsing():
-    assert parse_matrix_text("0.5").shape == (1, 1)
-    M = parse_matrix_text("0.1 0.2; 0.3, 0.4")
+    def matrix(text):
+        return ExperimentConfig({"A": text}).matrix("A")
+
+    assert matrix("0.5").shape == (1, 1)
+    M = matrix("0.1 0.2; 0.3, 0.4")
     assert M.shape == (2, 2)
     assert M[1, 0] == 0.3
     with pytest.raises(ValidationError):
-        parse_matrix_text("1 2; 3")
+        matrix("1 2; 3")
 
 
 def test_config_builds_psi_and_weights():
@@ -219,3 +223,32 @@ def test_cli_config_file_equivalent(tmp_path):
         == 0
     )
     assert (out1 / "classify.json").read_bytes() == (out2 / "classify.json").read_bytes()
+
+
+# configs/<subcommand>[-<name>].conf; small sizes keep each run under a second
+CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.conf"))
+SMALL_SETS = {
+    "measure": ["measure.n=1000"],
+    "orbit": ["ensemble=50", "orbit.k_max=14"],
+    "crossval": ["ensemble=2", "crossval.S=10"],
+    "disjoint": ["disjoint.samples=5"],
+}
+
+
+def test_every_experiment_config_is_listed():
+    assert sorted(p.stem for p in CONFIGS) == [
+        "crossval",
+        "disjoint",
+        "measure-scaling",
+        "orbit-contrast-convergent",
+        "orbit-contrast-divergent",
+    ]
+
+
+@pytest.mark.parametrize("path", CONFIGS, ids=lambda p: p.stem)
+def test_experiment_configs_run(path, tmp_path, capsys):
+    subcommand = path.stem.split("-")[0]
+    sets = [arg for item in SMALL_SETS[subcommand] for arg in ("--set", item)]
+    code = cli_main([subcommand, "--config", str(path), *sets, "--out", str(tmp_path)])
+    assert code == 0
+    assert (tmp_path / "manifest.json").exists()

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_lab.errors import BudgetExceeded
+from dirichlet_lab.errors import BudgetExceeded, CapExceeded
 from dirichlet_lab.exact2d import Exact2D, log_int
 from dirichlet_lab.lattice import WeightPair, apply_flow, delta, lattice_from_matrix
 from dirichlet_lab.rng import sample_torus_fixedpoint, substream
@@ -14,7 +14,10 @@ from dirichlet_lab.targets import (
     KIND_THICK_PRIMED,
     _WINDOWS,
     TargetSpec,
+    complement_within,
     in_target,
+    intersect_intervals,
+    merge_intervals,
 )
 
 W11 = WeightPair.unweighted(1, 1)
@@ -153,3 +156,63 @@ def test_deep_flow_delta_sanity():
     assert 0.0 <= d100 < 20.0
     d200 = ex.delta_flowed(200.0)
     assert 0.0 <= d200 < 25.0
+
+
+def _witness_intervals_reference(ex, k, window, r, primed):
+    """Exact2D.witness_intervals as it was before the shared s-interval kernel:
+    a Delta probe at both window ends, then one box for the cube and one for
+    the slab, each with its own closed-form endpoints."""
+    lo, hi = float(k), float(k) + float(window)
+    if max(ex.delta_flowed(lo), ex.delta_flowed(hi)) - window > r + 1e-9:
+        return []
+    n_max = ex._n_threshold(-lo - r)
+    q_max = int(math.exp(min(hi - r, 700.0)) * (1 + 1e-9)) + 1
+    cube_ivs = []
+    for n, q in ex._box_points(n_max, q_max):
+        s_hi = math.inf if n == 0 else -r - (log_int(abs(n)) - ex.log_den)
+        s_lo = -math.inf if q == 0 else r + log_int(abs(q))
+        if s_hi - s_lo > 1e-12:
+            cube_ivs.append((s_lo, s_hi))
+    avoid = complement_within(merge_intervals(cube_ivs), lo, hi)
+    if not primed:
+        return avoid
+    eps = r / 4.0
+    half_log_r = 0.5 * math.log(r)
+    n_hi = ex._n_threshold(-lo + math.log1p(eps))
+    q_max = int(math.sqrt(r) * math.exp(min(hi, 700.0)) * (1 + 1e-9)) + 1
+    slab_ivs = []
+    for n, q in ex._box_points(n_hi, q_max):
+        if n == 0:
+            continue
+        base = ex.log_den - log_int(abs(n))
+        s_lo = base + math.log1p(-eps)
+        s_hi = base + math.log1p(eps)
+        if q != 0:
+            s_lo = max(s_lo, log_int(abs(q)) - half_log_r)
+        if s_hi - s_lo > 1e-12:
+            slab_ivs.append((s_lo, s_hi))
+    return intersect_intervals(avoid, merge_intervals(slab_ivs))
+
+
+def test_witness_intervals_match_two_box_reference():
+    nonempty = 0
+    for bits in (64, 192, 256):
+        for i in range(3):
+            num, den = sample_torus_fixedpoint(substream(16, f"x2d-witness-{bits}", i), 1, 1, bits)
+            ex, ex_ref = Exact2D(num[0][0], den), Exact2D(num[0][0], den)
+            for k in range(0, 101, 4):
+                for r in (0.01, 0.05, 0.2, 0.6):
+                    for window in (1.0, 0.5):
+                        for primed in (False, True):
+                            got = ex.witness_intervals(float(k), window, r, primed)
+                            want = _witness_intervals_reference(ex_ref, float(k), window, r, primed)
+                            assert repr(got) == repr(want)
+                            nonempty += bool(got)
+    assert nonempty >= 300
+
+
+def test_reduction_cap_raises():
+    num, den = sample_torus_fixedpoint(substream(17, "x2d-cap", 0), 1, 1, bits=256)
+    ex = Exact2D(num[0][0], den)
+    with pytest.raises(CapExceeded):
+        ex._reduced(50.0 - ex.log_den, -50.0, max_iter=1)

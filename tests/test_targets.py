@@ -11,6 +11,7 @@ from dirichlet_lab.lattice import (
     UnimodularLattice,
     WeightPair,
     apply_flow,
+    enumerate_in_box,
     has_nonzero_point,
     lattice_from_matrix,
     r_box,
@@ -247,3 +248,85 @@ def test_cusp_lattice_profile_exits_early(monkeypatch):
     radii = [0.02, 0.05, 0.1, 0.2]
     profile = membership_profile(L, [KIND_SUB, KIND_PRIMED], radii, w)
     assert profile == {(kind, r): False for r in radii for kind in (KIND_SUB, KIND_PRIMED)}
+
+
+# The per-point s-interval formulas that targets.witness_from_logs replaced,
+# kept as the reference its interval lists must equal bit for bit.
+def _cube_entry_interval_reference(v, r, w):
+    m = w.m
+    lo, hi = -math.inf, math.inf
+    for i, a in enumerate(w.alpha):
+        x = abs(v[i])
+        if x > 0.0:
+            hi = min(hi, (-r - math.log(x)) / a)
+    for j, b in enumerate(w.beta):
+        x = abs(v[m + j])
+        if x > 0.0:
+            lo = max(lo, (r + math.log(x)) / b)
+    return (lo, hi) if hi - lo > targets._MIN_LEN else None
+
+
+def _slab_entry_interval_reference(v, r, w):
+    m, d = w.m, w.m + w.n
+    if v[0] <= 0.0:
+        return None
+    eps = r / (2 * d)
+    half_log_r = 0.5 * math.log(r)
+    lo = math.log1p(-eps) - math.log(v[0])
+    hi = math.log1p(eps) - math.log(v[0])
+    lo /= w.alpha[0]
+    hi /= w.alpha[0]
+    for i in range(1, m):
+        x = abs(v[i])
+        if x > 0.0:
+            hi = min(hi, (half_log_r - math.log(x)) / w.alpha[i])
+    for j, b in enumerate(w.beta):
+        x = abs(v[m + j])
+        if x > 0.0:
+            lo = max(lo, (math.log(x) - half_log_r) / b)
+    return (lo, hi) if hi - lo > targets._MIN_LEN else None
+
+
+def _witness_intervals_reference(candidates, spec):
+    cube_hits, slab_hits = [], []
+    for v in candidates.tolist():
+        iv = _cube_entry_interval_reference(v, spec.r, spec.weights)
+        if iv is not None:
+            cube_hits.append(iv)
+        if spec.base_kind == KIND_PRIMED:
+            iv = _slab_entry_interval_reference(v, spec.r, spec.weights)
+            if iv is not None:
+                slab_hits.append(iv)
+    avoid = complement_within(merge_intervals(cube_hits), 0.0, spec.window)
+    if spec.base_kind == KIND_SUB:
+        return avoid
+    return intersect_intervals(avoid, merge_intervals(slab_hits))
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        WeightPair.unweighted(1, 2),
+        WeightPair.unweighted(2, 1),
+        WeightPair(alpha=(1.0,), beta=(0.3, 0.7)),
+        W21,
+        WeightPair.unweighted(2, 2),
+        WeightPair(alpha=(0.25, 0.75), beta=(0.6, 0.4)),
+        WeightPair(alpha=(1.0,), beta=(0.5, 0.2, 0.3)),
+    ],
+)
+def test_witness_kernel_is_bit_equal_to_per_point_formulas(w):
+    dims = w.dims
+    nonempty = 0
+    for i in range(12):
+        A = sample_torus(substream(25, f"kernel-{w.alpha}-{w.beta}", i), dims.m, dims.n)
+        L = apply_flow(lattice_from_matrix(A, dims), 2.0 + 0.5 * i, w)
+        for kind in (KIND_THICK, KIND_THICK_PRIMED):
+            cube = targets._candidate_cube(targets._WINDOWS[kind], dims.d)
+            candidates = enumerate_in_box(L, cube)
+            for r in (0.02, 0.1, 0.3, 0.7):
+                spec = TargetSpec(kind, r, w)
+                got = targets._witness_intervals(candidates, spec)
+                assert repr(got) == repr(_witness_intervals_reference(candidates, spec))
+                nonempty += bool(got)
+    assert nonempty >= 10
