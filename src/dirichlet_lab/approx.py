@@ -325,10 +325,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not (self.monotonicity_violations or self.upper_bound_violations)
 
-    @property
-    def reduced_ok(self) -> bool:
-        return self.ok and not self.lower_bound_violations
-
 
 def validate_psi(psi: PsiFunction, grid, eta: float = 0.5) -> ValidationReport:
     """Check psi on a grid: monotonicity, the 1/t and 1/(2t) side bounds, and

@@ -17,7 +17,7 @@ Three record-finding backends share the sweep:
                   integer distances vectorized over all q (uint64 wraparound
                   is exact modulo 2^64, so q*num mod 2^e is branch-free);
   * walk       -- m = n = 1, any horizon: divide-and-conquer over the
-                  integer lattice; a reduced-basis box test per probe skips
+                  integer lattice; a ladder-basis box test per probe skips
                   record-free blocks, so the cost is ~records * log T;
   * general    -- any (m, n): enumerate the q-box, vectorized errors.
 

@@ -12,22 +12,29 @@ points (N, q) = (p den + q num, q) with flowed coordinates
 
 Doubles cannot represent these directly once sigma is large (the basis
 spans e^{2 sigma} in dynamic range), so everything here works on exact
-integers, with sizes compared through their logarithms.  Gauss (Lagrange)
-reduction with float-scaled norms finds short bases; the float part only
-steers the reduction, never decides membership.
+integers, with sizes compared through their logarithms.
+
+One integer Euclid pass on (den, num) lists the convergent ladder
+b_k = (N_k, q_k) = (q_k num - p_k den, q_k), from (-den, 0) down to N = 0.
+Its points contain every Pareto-minimal point of L_A in (|N|, q)
+(Khinchin, Continued Fractions, Thms 16-17), so Delta(g_sigma L_A) at any
+sigma is read off two neighbouring rungs found by bisection, and each box
+query enumerates in a pair of rungs chosen in integers (certified as a
+basis by |det| = den).  No float steers any choice.
 
 Thickened membership needs exact integers only for the log-moduli of the
 points in one candidate box; their s-intervals and the interval algebra
 are targets.witness_from_logs, the kernel of the float path.
 
-Instances cache the last reduced basis, so stepping an orbit k -> k+1
-costs only a couple of reduction iterations.  Instances are not
-thread-safe; use one per worker.
+The ladder is built on first use and never changes, so an instance is
+immutable from then on and its answers do not depend on call history.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
+from functools import cached_property
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
 from .lattice import WeightPair
@@ -40,7 +47,10 @@ from .targets import intersect_intervals as _intersect  # noqa: F401
 from .targets import merge_intervals as _merge  # noqa: F401
 
 _LOG2 = math.log(2.0)
-MAX_SIGMA = 250.0  # scaled norms stay within double range below this
+# Box bounds are doubles near den * e^{-sigma} and e^{sigma}, clamped at e^700
+# (_n_threshold); within this flow time the clamp never binds for den below
+# 2^640, so every box holds all the points it has to.
+MAX_SIGMA = 250.0
 _W11 = WeightPair.unweighted(1, 1)
 
 
@@ -55,6 +65,19 @@ def log_int(n: int) -> float:
     return math.log(n >> shift) + shift * _LOG2
 
 
+def partial_quotients(num: int, den: int):
+    """Partial quotients a_1, a_2, ... of num/den, 0 <= num < den, by Euclid.
+
+    The one Euclid step of the lab: the convergent ladder of Exact2D and
+    the continued-fraction oracle (cf.cf_expand) both take their quotients
+    from here.  Ends when the remainder is 0.
+    """
+    while num:
+        a, rem = divmod(den, num)
+        yield a
+        num, den = rem, num
+
+
 class Exact2D:
     """Exact arithmetic for the orbit of L_A, A = num/den."""
 
@@ -64,7 +87,6 @@ class Exact2D:
         self.num = int(num) % int(den) if den > 1 else 0
         self.den = int(den)
         self.log_den = log_int(self.den) if self.den > 1 else 0.0
-        self._basis = ((self.den, 0), (self.num, 1))
 
     @classmethod
     def from_float(cls, a: float) -> "Exact2D":
@@ -76,11 +98,37 @@ class Exact2D:
         rem = (q * self.num) % self.den
         return min(rem, self.den - rem)
 
-    # -- reduction ---------------------------------------------------------
+    # -- the convergent ladder ---------------------------------------------
+
+    @cached_property
+    def _ladder(self):
+        """(points, log|N_k|, log q_k, keys) along the convergent ladder.
+
+        points[k] = (N_k, q_k), from (-den, 0) and (num, 1) by
+        b_{k+1} = b_{k-1} + a_{k+1} b_k until N = 0; the signs of N_k
+        alternate, |N_k| falls and q_k rises.  A zero coordinate has log
+        -inf.  keys[k] = log q_k - log|N_k| + log den increases with k;
+        rung k is flowed into balance at 2 sigma = keys[k].
+        """
+        prev, cur = (-self.den, 0), (self.num, 1)
+        points = [prev, cur]
+        for a in partial_quotients(self.num, self.den):
+            prev, cur = cur, (prev[0] + a * cur[0], prev[1] + a * cur[1])
+            points.append(cur)
+        # |N_k|, q_k <= den, and log_int is math.log below 2^53
+        log = math.log if self.den.bit_length() <= 53 else log_int
+        log_n = [log(abs(n)) if n else -math.inf for n, _ in points]
+        log_q = [log(q) if q else -math.inf for _, q in points]
+        keys = [y - x + self.log_den for x, y in zip(log_n, log_q)]
+        return points, log_n, log_q, keys
 
     def _reduced(self, wx_log: float, wy_log: float, max_iter: int = 100_000):
-        """Gauss-reduce the cached basis under the norm (x e^wx_log)^2 + (y e^wy_log)^2."""
-        b1, b2 = self._basis
+        """Gauss-reduce (den, 0), (num, 1) under the norm (x e^wx_log)^2 + (y e^wy_log)^2.
+
+        Float-steered and not called by the lab: the tests check the ladder
+        against it, and perfbench's tracer names it.
+        """
+        b1, b2 = (self.den, 0), (self.num, 1)
         wx = math.exp(max(wx_log, -700.0))
         wy = math.exp(max(wy_log, -700.0))
 
@@ -120,28 +168,57 @@ class Exact2D:
                 break
         else:
             raise CapExceeded(f"Gauss reduction did not converge in {max_iter} iterations")
-        self._basis = (b1, b2)
         return b1, b2
 
     def _iter_box_points(self, n_max: int, q_max: int, coeff_cap: int = 5_000_000):
         """Yield nonzero integer lattice points (N, q), |N| <= n_max, |q| <= q_max.
 
         Canonical sign: q > 0, or q == 0 and N > 0.  The coefficient
-        rectangle of the reduced basis bounds the work; callers that need
-        the full list should pass a cap to _box_points instead.
+        rectangle of the basis bounds the work; callers that need the full
+        list should pass a cap to _box_points instead.
+
+        The bounds are exact: v = c1 b1 + c2 b2 has c1 det(b1, b2) =
+        det(v, b2), so |c1| <= nu(b2) / den with the box's dual norm
+        nu(v) = n_max |q| + q_max |N|, and likewise for c2.  The basis is
+        chosen in integers.  nu is smallest on a rung next to the first rung
+        c with n_max q_c >= q_max |N_c|.  Every basis partner of a rung b_i
+        is +-(b_{i-1} + t b_i), and nu is convex and piecewise linear in t
+        with kinks at q = 0 and N = 0, so the best partner is one of b_{i-1},
+        b_{i-1} - b_i, b_{i+1} and b_{i+1} + b_i.  Of these pairs for
+        i = c - 1, c, the one with the smallest rectangle is used.
         """
         if n_max < 0 or q_max < 0:
             return
-        wx_log = -log_int(n_max + 1) if n_max > 0 else 0.0
-        wy_log = -log_int(q_max + 1) if q_max > 0 else 0.0
-        b1, b2 = self._reduced(wx_log, wy_log)
-        det = b1[0] * b2[1] - b1[1] * b2[0]
-        if det == 0:
-            raise ValidationError("degenerate basis")
-        adet = abs(det)
-        c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // adet + 2
-        c2_hi = (n_max * abs(b1[1]) + q_max * abs(b1[0])) // adet + 2
-        if (2 * c1_hi + 1) * (2 * c2_hi + 1) > coeff_cap:
+        points, _, _, keys = self._ladder
+        den = self.den
+        if n_max and q_max:
+            c = bisect_left(keys, log_int(q_max) - log_int(n_max) + self.log_den)
+        else:
+            c = 0 if q_max == 0 else len(points) - 1
+        while c > 0 and n_max * points[c - 1][1] >= q_max * abs(points[c - 1][0]):
+            c -= 1
+        while n_max * points[c][1] < q_max * abs(points[c][0]):
+            c += 1
+        best = None
+        for i in (c - 1, c):
+            if i < 0:
+                continue
+            b1 = points[i]
+            c2_hi = (n_max * b1[1] + q_max * abs(b1[0])) // den
+            for j, sign in ((i - 1, -1), (i + 1, 1)):
+                if not 0 <= j < len(points):
+                    continue
+                bj = points[j]
+                for b2 in (bj, (bj[0] + sign * b1[0], bj[1] + sign * b1[1])):
+                    c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // den
+                    size = (2 * c1_hi + 1) * (2 * c2_hi + 1)
+                    if best is None or size < best[0]:
+                        best = (size, b1, b2, c1_hi, c2_hi)
+        size, b1, b2, c1_hi, c2_hi = best
+        # certificate: two lattice vectors spanning covolume den are a basis
+        if abs(b1[0] * b2[1] - b1[1] * b2[0]) != den:
+            raise ValidationError("ladder pair is not a basis of L_A")
+        if size > coeff_cap:
             raise CapExceeded("coefficient ranges exceed enumeration cap")
         for c1 in range(-c1_hi, c1_hi + 1):
             base_n = c1 * b1[0]
@@ -196,19 +273,25 @@ class Exact2D:
         return int(math.exp(min(self.log_den + log_bound, 700.0)) * (1 + 1e-9)) + 1
 
     def delta_flowed(self, sigma: float) -> float:
-        """Delta(g_sigma L_A), exactly (float only in the final logs)."""
+        """Delta(g_sigma L_A), exactly (float only in the final logs).
+
+        Rung k's flowed sup-norm is max(F_k, G_k), F_k = sigma + log|N_k|
+        - log den falling and G_k = -sigma + log q_k rising in k, so the
+        minimum over the ladder, which holds every Pareto-minimal point, is
+        F at the rung before the first rung j with G_j >= F_j, or G at j.
+        Bisection on the keys lands next to j; the walk settles j in the
+        expression order of flow_sup_log, so the value is bit-equal to the
+        minimum over all nonzero lattice points.
+        """
         self._check_sigma(abs(sigma))
-        b1, b2 = self._reduced(sigma - self.log_den, -sigma)
-        cands = [b1, b2, (b1[0] + b2[0], b1[1] + b2[1]), (b1[0] - b2[0], b1[1] - b2[1])]
-        bound = min(
-            self.flow_sup_log(b, sigma) for b in cands if b != (0, 0)
-        )
-        n_max = self._n_threshold(bound - sigma)
-        q_max = int(math.exp(min(bound + sigma, 700.0)) * (1 + 1e-9)) + 1
-        best = bound
-        for pt in self._box_points(n_max, q_max):
-            best = min(best, self.flow_sup_log(pt, sigma))
-        return -best
+        _, log_n, log_q, keys = self._ladder
+        log_den = self.log_den
+        j = bisect_left(keys, 2.0 * sigma)
+        while j > 0 and -sigma + log_q[j - 1] >= (sigma + log_n[j - 1]) - log_den:
+            j -= 1
+        while -sigma + log_q[j] < (sigma + log_n[j]) - log_den:
+            j += 1
+        return -min((sigma + log_n[j - 1]) - log_den, -sigma + log_q[j])
 
     def in_sub(self, sigma: float, r: float) -> bool:
         """g_sigma L_A in Delta^-1[0, r]: no nonzero point in the open cube."""

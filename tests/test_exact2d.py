@@ -1,9 +1,12 @@
+import contextlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dirichlet_lab.errors import BudgetExceeded, CapExceeded
+from dirichlet_lab.errors import BudgetExceeded, CapExceeded, ValidationError
 from dirichlet_lab.exact2d import Exact2D, log_int
 from dirichlet_lab.lattice import WeightPair, apply_flow, delta, lattice_from_matrix
 from dirichlet_lab.rng import sample_torus_fixedpoint, substream
@@ -18,6 +21,7 @@ from dirichlet_lab.targets import (
     in_target,
     intersect_intervals,
     merge_intervals,
+    witness_from_logs,
 )
 
 W11 = WeightPair.unweighted(1, 1)
@@ -216,3 +220,208 @@ def test_reduction_cap_raises():
     ex = Exact2D(num[0][0], den)
     with pytest.raises(CapExceeded):
         ex._reduced(50.0 - ex.log_den, -50.0, max_iter=1)
+
+
+# -- the convergent ladder against the Gauss-reduction reference -------------
+
+
+def _iter_box_points_reference(ex, n_max, q_max, coeff_cap=5_000_000):
+    """Exact2D._iter_box_points before the ladder: a Gauss-reduced basis
+    steered by float-scaled norms, and coefficient bounds with slack 2."""
+    if n_max < 0 or q_max < 0:
+        return
+    wx_log = -log_int(n_max + 1) if n_max > 0 else 0.0
+    wy_log = -log_int(q_max + 1) if q_max > 0 else 0.0
+    b1, b2 = ex._reduced(wx_log, wy_log)
+    adet = abs(b1[0] * b2[1] - b1[1] * b2[0])
+    c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // adet + 2
+    c2_hi = (n_max * abs(b1[1]) + q_max * abs(b1[0])) // adet + 2
+    if (2 * c1_hi + 1) * (2 * c2_hi + 1) > coeff_cap:
+        raise CapExceeded("coefficient ranges exceed enumeration cap")
+    for c1 in range(-c1_hi, c1_hi + 1):
+        for c2 in range(-c2_hi, c2_hi + 1):
+            n = c1 * b1[0] + c2 * b2[0]
+            q = c1 * b1[1] + c2 * b2[1]
+            if q < 0 or (q == 0 and n <= 0):
+                continue
+            if abs(n) <= n_max and q <= q_max:
+                yield n, q
+
+
+def _box_points_reference(ex, n_max, q_max, cap=4096):
+    out = []
+    for pt in _iter_box_points_reference(ex, n_max, q_max):
+        out.append(pt)
+        if len(out) > cap:
+            raise CapExceeded("box enumeration cap exceeded")
+    return out
+
+
+def _delta_flowed_reference(ex, sigma):
+    """Exact2D.delta_flowed before the ladder: reduce, bound by four small
+    combinations, then scan the box below the bound."""
+    b1, b2 = ex._reduced(sigma - ex.log_den, -sigma)
+    cands = [b1, b2, (b1[0] + b2[0], b1[1] + b2[1]), (b1[0] - b2[0], b1[1] - b2[1])]
+    bound = min(ex.flow_sup_log(b, sigma) for b in cands if b != (0, 0))
+    n_max = ex._n_threshold(bound - sigma)
+    q_max = int(math.exp(min(bound + sigma, 700.0)) * (1 + 1e-9)) + 1
+    best = bound
+    for pt in _box_points_reference(ex, n_max, q_max):
+        best = min(best, ex.flow_sup_log(pt, sigma))
+    return -best
+
+
+def _slab_points_reference(ex, sigma, r):
+    n_hi = ex._n_threshold(-sigma + math.log1p(r / 4.0))
+    q_max = int(math.sqrt(r) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
+    return [
+        (n, q) if n > 0 else (-n, -q)
+        for n, q in _box_points_reference(ex, n_hi, q_max)
+        if ex._in_slab(n, q, sigma, r)
+    ]
+
+
+def _witness_intervals_ladder_free(ex, k, window, r, primed):
+    """Exact2D.witness_intervals with the reference Delta and box."""
+    lo, hi = float(k), float(k) + float(window)
+    if _delta_flowed_reference(ex, lo + 0.5 * window) - 0.5 * window > r + 1e-9:
+        return []
+    if primed:
+        n_max = ex._n_threshold(-lo + math.log1p(r / 4.0))
+        q_log = hi + max(-r, 0.5 * math.log(r))
+    else:
+        n_max = ex._n_threshold(-lo - r)
+        q_log = hi - r
+    q_max = int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1
+    rows = [
+        ((log_int(abs(n)) - ex.log_den if n else -math.inf, log_int(q) if q else -math.inf), n != 0)
+        for n, q in _box_points_reference(ex, n_max, q_max)
+    ]
+    spec = TargetSpec(KIND_THICK_PRIMED if primed else KIND_THICK, r, W11)
+    return witness_from_logs(rows, spec, lo, hi)
+
+
+def _any_point_in_box_reference(ex, n_strict, q_max):
+    if n_strict <= 0 or q_max < 1:
+        return False
+    return any(q >= 1 for _, q in _iter_box_points_reference(ex, n_strict - 1, q_max))
+
+
+def _from_quotients(quotients):
+    """(num, den) of [0; a_1, a_2, ...]."""
+    p_prev, p, q_prev, q = 1, 0, 0, 1
+    for a in quotients:
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+    return p, q
+
+
+_DYADIC = st.sampled_from([53, 64, 192, 256]).flatmap(
+    lambda bits: st.tuples(st.integers(1, (1 << bits) - 1), st.just(1 << bits))
+)
+# continued fractions mixing small and huge partial quotients
+_QUOTIENTS = st.lists(
+    st.one_of(st.integers(1, 6), st.integers(1 << 20, 1 << 64)), min_size=1, max_size=14
+)
+
+
+@settings(max_examples=60)
+@given(
+    st.one_of(_DYADIC, _QUOTIENTS.map(_from_quotients)),
+    st.lists(st.floats(0.0, 120.0), min_size=1, max_size=3),
+    st.sampled_from([0.01, 0.05, 0.2, 0.6]),
+    st.floats(-2.0, 2.0),
+    st.floats(-2.0, 2.0),
+)
+def test_ladder_matches_gauss_reference(ratio, sigmas, r, n_shift, q_shift):
+    num, den = ratio
+    ex = Exact2D(num, den)
+
+    def check(got, reference, must_answer=False):
+        # Where the reference hits a cap, Delta must still be answered; a box
+        # query may hit a cap too when the box holds too many points.
+        try:
+            want = reference()
+        except CapExceeded:
+            if must_answer:
+                got()
+            else:
+                with contextlib.suppress(CapExceeded):
+                    got()
+            return
+        assert got() == want
+
+    for sigma in sigmas:
+        check(
+            lambda: repr(ex.delta_flowed(sigma)),
+            lambda: repr(_delta_flowed_reference(ex, sigma)),
+            must_answer=True,
+        )
+        check(lambda: set(ex.slab_points(sigma, r)), lambda: set(_slab_points_reference(ex, sigma, r)))
+        for window, primed in ((1.0, False), (0.5, True)):
+            check(
+                lambda: repr(ex.witness_intervals(sigma, window, r, primed)),
+                lambda: repr(_witness_intervals_ladder_free(ex, sigma, window, r, primed)),
+            )
+        # a box of area ~ den around the flowed unit square, stretched by e^shift
+        n_strict = ex._n_threshold(-sigma + n_shift)
+        q_max = int(math.exp(sigma + q_shift))
+        check(
+            lambda: ex.any_point_in_box(n_strict, q_max),
+            lambda: _any_point_in_box_reference(ex, n_strict, q_max),
+        )
+
+
+@pytest.mark.parametrize(
+    "num, den, rungs",
+    [
+        # A = 2^-64
+        (1, 2**64, [(-(2**64), 0), (1, 1), (0, 2**64)]),
+        # A = 1/2 + 2^-64 = [0; 1, 1, 2^62 - 1, 2]
+        (
+            2**63 + 1,
+            2**64,
+            [(-(2**64), 0), (2**63 + 1, 1), (1 - 2**63, 1), (2, 2), (-1, 2**63 - 1), (0, 2**64)],
+        ),
+        # A = 3/2^53 = [0; (2^53 - 2)/3, 1, 2]
+        (3, 2**53, [(-(2**53), 0), (3, 1), (-2, (2**53 - 2) // 3), (1, (2**53 + 1) // 3), (0, 2**53)]),
+    ],
+)
+def test_delta_grid_with_huge_partial_quotient(num, den, rungs):
+    # the float-steered Gauss loop hit its iteration cap on these A; the
+    # Pareto-minimal points are written out by hand
+    ex = Exact2D(num, den)
+    assert all((n - q * num) % den == 0 for n, q in rungs)
+    for i in range(80):
+        sigma = 0.5 * i
+        want = -min(ex.flow_sup_log(pt, sigma) for pt in rungs)
+        assert repr(ex.delta_flowed(sigma)) == repr(want)
+        # no point with a small q does better
+        assert all(ex.flow_sup_log((ex.fold(q), q), sigma) >= -want for q in range(1, 200))
+    assert ex._ladder[0] == rungs
+
+
+def test_huge_partial_quotient_fresh_instance():
+    # the first query on a fresh instance: the point (1, 1) gives max(20 - 64 log 2, -20)
+    assert Exact2D(1, 2**64).delta_flowed(20.0) == 20.0
+
+
+def test_thick_with_huge_partial_quotient():
+    # A = 2^-64: Delta(s) = min(s, 64 log 2 - s) >= 4.3 on [10, 40), far above r
+    ex = Exact2D(1, 2**64)
+    assert not any(ex.hits_thick(float(k), 0.5, 0.05, True) for k in range(10, 40))
+
+
+def test_box_basis_certificate():
+    ex = Exact2D(12345, 1 << 16)
+    points = ex._ladder[0]
+    assert all(
+        abs(n1 * q2 - q1 * n2) == ex.den for (n1, q1), (n2, q2) in zip(points, points[1:])
+    )
+    assert list(ex._iter_box_points(2000, 2000))
+    # a ladder doubled out of L_A spans covolume 4 den: no basis, so no answer
+    bad = Exact2D(12345, 1 << 16)
+    points, log_n, log_q, keys = bad._ladder
+    bad._ladder = ([(2 * n, 2 * q) for n, q in points], log_n, log_q, keys)
+    with pytest.raises(ValidationError):
+        list(bad._iter_box_points(2000, 2000))
