@@ -5,11 +5,10 @@ are the best rational approximations of the second kind, so on each block
 t in (q_k, q_{k+1}] the system is solvable for all t iff
 |q_k alpha - p_k| < psi(q_{k+1}) (psi decreasing makes the right endpoint
 the worst case).  A float is a rational, so the expansion runs Euclid's
-algorithm on its exact integer ratio, or on an exact (num, den) given
-directly: every partial quotient and convergent is exact, and the
-expansion ends (in under ~80 steps for a 53-bit denominator) when the
-ratio is exhausted.  The Euclid step is exact2d.partial_quotients, the
-one the convergent ladder of Exact2D runs.
+algorithm on its exact integer ratio: every partial quotient and
+convergent is exact, and the expansion ends (in under ~80 steps for a
+53-bit denominator) when the ratio is exhausted.  The Euclid step is
+exact2d.partial_quotients, the one the convergent ladder of Exact2D runs.
 """
 
 from __future__ import annotations
@@ -24,21 +23,9 @@ from .errors import ValidationError
 from .exact2d import partial_quotients
 
 
-def _exact_ratio(alpha) -> tuple:
-    """(num, den) of alpha, a float or an exact (num, den), checked to lie in (0, 1)."""
-    if isinstance(alpha, tuple):
-        num, den = int(alpha[0]), int(alpha[1])
-        if not 0 < num < den:
-            raise ValidationError("alpha must lie in (0,1)")
-        return num, den
-    if not 0.0 < alpha < 1.0:
-        raise ValidationError("alpha must lie in (0,1)")
-    return alpha.as_integer_ratio()
-
-
 @dataclass
 class ContinuedFraction:
-    alpha: float | tuple  # a float, or an exact (num, den)
+    alpha: float
     partial_quotients: list  # a_1, a_2, ... (alpha in (0,1), so a_0 = 0)
     convergents: list  # (p_k, q_k) for k = 0, 1, ...; starts at (0, 1)
     truncated: bool = False
@@ -50,26 +37,26 @@ class ContinuedFraction:
         product q*alpha loses the answer entirely once q*err is below the
         rounding noise.
         """
-        num, den = _exact_ratio(self.alpha)
+        num, den = self.alpha.as_integer_ratio()
         return [abs(q * num - p * den) / den for p, q in self.convergents]
 
 
-def cf_expand(alpha: float | tuple, K: int) -> ContinuedFraction:
+def cf_expand(alpha: float, K: int) -> ContinuedFraction:
     """First K partial quotients of alpha in (0,1), by Euclid on its exact ratio.
 
-    alpha is a float or an exact (num, den); a float and its
-    as_integer_ratio() give the same expansion.  `truncated` is set when
-    the expansion of the rational value ends before K quotients.  The
-    convergent list starts at the 0th convergent (0, 1).
+    `truncated` is set when the expansion of the float's rational value
+    ends before K quotients.  The convergent list starts at the 0th
+    convergent (0, 1).
     """
-    num, den = _exact_ratio(alpha)
+    if not 0.0 < alpha < 1.0:
+        raise ValidationError("alpha must lie in (0,1)")
     if K < 1:
         raise ValidationError("K must be >= 1")
     quotients = []
     convergents = [(0, 1)]
     p_prev, q_prev = 1, 0  # p_{-1}, q_{-1}
     p_cur, q_cur = 0, 1  # p_0, q_0
-    for a in islice(partial_quotients(num, den), K):
+    for a in islice(partial_quotients(*alpha.as_integer_ratio()), K):
         quotients.append(a)
         p_prev, p_cur = p_cur, a * p_cur + p_prev
         q_prev, q_cur = q_cur, a * q_cur + q_prev

@@ -115,10 +115,8 @@ class Exact2D:
         for a in partial_quotients(self.num, self.den):
             prev, cur = cur, (prev[0] + a * cur[0], prev[1] + a * cur[1])
             points.append(cur)
-        # |N_k|, q_k <= den, and log_int is math.log below 2^53
-        log = math.log if self.den.bit_length() <= 53 else log_int
-        log_n = [log(abs(n)) if n else -math.inf for n, _ in points]
-        log_q = [log(q) if q else -math.inf for _, q in points]
+        log_n = [log_int(abs(n)) if n else -math.inf for n, _ in points]
+        log_q = [log_int(q) if q else -math.inf for _, q in points]
         keys = [y - x + self.log_den for x, y in zip(log_n, log_q)]
         return points, log_n, log_q, keys
 
@@ -173,7 +171,7 @@ class Exact2D:
     def _iter_box_points(self, n_max: int, q_max: int, coeff_cap: int = 5_000_000):
         """Yield nonzero integer lattice points (N, q), |N| <= n_max, |q| <= q_max.
 
-        Canonical sign: q > 0, or q == 0 and N > 0.  The coefficient
+        Canonical sign: q > 0, or q == 0 and N > 0.  Half the coefficient
         rectangle of the basis bounds the work; callers that need the full
         list should pass a cap to _box_points instead.
 
@@ -220,14 +218,15 @@ class Exact2D:
             raise ValidationError("ladder pair is not a basis of L_A")
         if size > coeff_cap:
             raise CapExceeded("coefficient ranges exceed enumeration cap")
-        for c1 in range(-c1_hi, c1_hi + 1):
+        # the box is symmetric, so one of each pair +-(c1, c2) is walked
+        for c1 in range(c1_hi + 1):
             base_n = c1 * b1[0]
             base_q = c1 * b1[1]
-            for c2 in range(-c2_hi, c2_hi + 1):
+            for c2 in range(-c2_hi if c1 else 1, c2_hi + 1):
                 n = base_n + c2 * b2[0]
                 q = base_q + c2 * b2[1]
-                if q < 0 or (q == 0 and n <= 0):
-                    continue
+                if q < 0 or (q == 0 and n < 0):
+                    n, q = -n, -q
                 if abs(n) <= n_max and q <= q_max:
                     yield n, q
 

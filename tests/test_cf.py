@@ -14,7 +14,7 @@ from dirichlet_lab.dirichlet import psi_dirichlet_scan
 from dirichlet_lab.errors import ValidationError
 from dirichlet_lab.exact2d import Exact2D
 from dirichlet_lab.lattice import WeightPair
-from dirichlet_lab.rng import sample_torus_fixedpoint, substream
+from dirichlet_lab.rng import substream
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 W11 = WeightPair.unweighted(1, 1)
@@ -142,31 +142,14 @@ def test_truncated_only_when_the_ratio_is_exhausted():
     assert not cf_expand(alpha, 5).truncated
 
 
-
-def test_exact_ratio_form_matches_float_form():
-    rng = substream(43, "cf", 0)
-    for i in range(40):
-        alpha = float(rng.random())
-        for K in (1, 5, 10_000):
-            by_float = cf_expand(alpha, K)
-            by_ratio = cf_expand(alpha.as_integer_ratio(), K)
-            assert by_ratio.partial_quotients == by_float.partial_quotients
-            assert by_ratio.convergents == by_float.convergents
-            assert by_ratio.truncated == by_float.truncated
-            assert by_ratio.errors() == by_float.errors()
-    for bad in ((0, 5), (5, 5), (7, 5), (-1, 5)):
-        with pytest.raises(ValidationError):
-            cf_expand(bad, 3)
-
-
-def test_exact_ratio_convergents_are_the_ladder():
-    # one Euclid routine: a 256-bit A's convergents are Exact2D's ladder rungs
-    for i in range(5):
-        num, den = sample_torus_fixedpoint(substream(44, "cf-ladder", i), 1, 1, bits=256)
-        num = num[0][0]
-        cf = cf_expand((num, den), 10_000)
+def test_convergents_are_the_exact2d_ladder():
+    # one Euclid routine: cf_expand's convergents of a float A are the rungs of Exact2D's ladder
+    rng = substream(44, "cf-ladder", 0)
+    for alpha in [float(rng.random()) for _ in range(20)] + [GOLDEN_MEAN, 2.0**-64, 0.5 + 2.0**-53]:
+        cf = cf_expand(alpha, 10_000)
         assert cf.truncated and cf.errors()[-1] == 0.0
-        rungs = Exact2D(num, den)._ladder[0]
+        num, den = alpha.as_integer_ratio()
+        rungs = Exact2D.from_float(alpha)._ladder[0]
         assert rungs[1:] == [(q * num - p * den, q) for p, q in cf.convergents]
 
 

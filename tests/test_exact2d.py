@@ -224,6 +224,11 @@ def test_reduction_cap_raises():
 
 # -- the convergent ladder against the Gauss-reduction reference -------------
 
+# The reference reductions below converge in at most a few dozen steps where
+# they converge at all; on huge partial quotients the float steering spins,
+# and a small cap makes it give up at once instead of after 100 000 steps.
+_REFERENCE_MAX_ITER = 1_000
+
 
 def _iter_box_points_reference(ex, n_max, q_max, coeff_cap=5_000_000):
     """Exact2D._iter_box_points before the ladder: a Gauss-reduced basis
@@ -232,7 +237,7 @@ def _iter_box_points_reference(ex, n_max, q_max, coeff_cap=5_000_000):
         return
     wx_log = -log_int(n_max + 1) if n_max > 0 else 0.0
     wy_log = -log_int(q_max + 1) if q_max > 0 else 0.0
-    b1, b2 = ex._reduced(wx_log, wy_log)
+    b1, b2 = ex._reduced(wx_log, wy_log, _REFERENCE_MAX_ITER)
     adet = abs(b1[0] * b2[1] - b1[1] * b2[0])
     c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // adet + 2
     c2_hi = (n_max * abs(b1[1]) + q_max * abs(b1[0])) // adet + 2
@@ -260,7 +265,7 @@ def _box_points_reference(ex, n_max, q_max, cap=4096):
 def _delta_flowed_reference(ex, sigma):
     """Exact2D.delta_flowed before the ladder: reduce, bound by four small
     combinations, then scan the box below the bound."""
-    b1, b2 = ex._reduced(sigma - ex.log_den, -sigma)
+    b1, b2 = ex._reduced(sigma - ex.log_den, -sigma, _REFERENCE_MAX_ITER)
     cands = [b1, b2, (b1[0] + b2[0], b1[1] + b2[1]), (b1[0] - b2[0], b1[1] - b2[1])]
     bound = min(ex.flow_sup_log(b, sigma) for b in cands if b != (0, 0))
     n_max = ex._n_threshold(bound - sigma)
@@ -418,7 +423,12 @@ def test_box_basis_certificate():
     assert all(
         abs(n1 * q2 - q1 * n2) == ex.den for (n1, q1), (n2, q2) in zip(points, points[1:])
     )
-    assert list(ex._iter_box_points(2000, 2000))
+    # each point once, with its canonical sign
+    want = []
+    for q in range(1, 2001):
+        rem = q * ex.num % ex.den
+        want += [(n, q) for n in (rem, rem - ex.den) if abs(n) <= 2000]
+    assert want and sorted(ex._iter_box_points(2000, 2000)) == sorted(want)
     # a ladder doubled out of L_A spans covolume 4 den: no basis, so no answer
     bad = Exact2D(12345, 1 << 16)
     points, log_n, log_q, keys = bad._ladder
