@@ -11,6 +11,7 @@ on one thread, because the lab's pure-Python work gained nothing from more.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 import time
@@ -45,7 +46,9 @@ class _Parser(argparse.ArgumentParser):
         raise ValidationError(message)
 
 
+@functools.cache
 def _build_parser() -> _Parser:
+    """The argparse tree, built on the first call and reused: parsing leaves it unchanged."""
     parser = _Parser(prog="dirichlet-lab", description=__doc__)
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)

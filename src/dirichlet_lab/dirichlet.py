@@ -16,9 +16,9 @@ Three record-finding backends share the sweep:
   * dense      -- m = n = 1, power-of-two denominator, T moderate: exact
                   integer distances vectorized over all q (uint64 wraparound
                   is exact modulo 2^64, so q*num mod 2^e is branch-free);
-  * walk       -- m = n = 1, any horizon: divide-and-conquer over the
-                  integer lattice; a ladder-basis box test per probe skips
-                  record-free blocks, so the cost is ~records * log T;
+  * walk       -- m = n = 1, any horizon: the records are the convergent
+                  rungs of Exact2D's ladder (Lagrange's best-approximation
+                  theorem), read off one Euclid pass with no box query;
   * general    -- any (m, n): enumerate the q-box, vectorized errors.
 
 classic_mode reproduces the original Dirichlet inequality system
@@ -109,11 +109,12 @@ def _records_dense(num: int, den_exp: int, T: int):
     num %= den_i
     if num == 0:
         return [(1, 0)]
-    mask = np.uint64(den_i - 1) if den_exp < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
+    mask = np.uint64(den_i - 1)
+    # den - w in uint64; den = 2^64 wraps to 0, and 0 - w wraps to 2^64 - w
+    den_w = np.uint64(den_i & 0xFFFFFFFFFFFFFFFF)
     num_u = np.uint64(num)
-    den_u = den_i
     records = []
-    carry = den_i  # anything beats this
+    carry = den_i // 2 + 1  # every distance is at most den / 2
     size = min(_CHUNK, T)  # a short horizon needs no full chunk
     q = np.arange(1, 1 + size, dtype=np.uint64)
     work = np.empty(size, dtype=np.uint64)
@@ -126,8 +127,8 @@ def _records_dense(num: int, den_exp: int, T: int):
         np.bitwise_and(wv, mask, out=wv)
         lo = int(wv.min())
         hi = int(wv.max())
-        if min(lo, den_u - hi) < carry:
-            dist = np.minimum(wv, np.uint64(den_u) - wv)
+        if min(lo, den_i - hi) < carry:
+            dist = np.minimum(wv, den_w - wv)
             np.minimum(dist, np.uint64(carry), out=dist)
             cm = np.minimum.accumulate(dist)
             prev = np.concatenate(([np.uint64(carry)], cm[:-1]))
@@ -142,43 +143,19 @@ def _records_dense(num: int, den_exp: int, T: int):
 
 
 def _records_walk(ex: Exact2D, T: int):
-    """Strict error records via lattice block-skipping; exact for any horizon."""
+    """Strict error records (q, den * ||qA||) for 1 <= q <= T, exact for any horizon.
+
+    By Lagrange's best-approximation theorem (Khinchin, Continued Fractions,
+    Thms 16-17) they are the convergent rungs (q_k, |N_k|) of ex's ladder.
+    Where a_1 = 1 the ladder holds q = 1 twice; the later, smaller rung wins.
+    """
     records = []
-    q0 = 1
-    carry = None
-    while q0 <= T:
-        if carry is None:
-            nv = ex.fold(q0)
-            records.append((q0, nv))
-            carry = nv
-            q0 += 1
-            if carry == 0:
-                break
-            continue
-        hi = q0
-        found = None
-        while True:
-            if ex.any_point_in_box(carry, hi):
-                found = hi
-                break
-            if hi >= T:
-                break
-            hi = min(T, hi * 2)
-        if found is None:
+    for n, q in ex._ladder[0][1:]:
+        if q > T:
             break
-        lo = q0
-        while lo < found:
-            mid = (lo + found) // 2
-            if ex.any_point_in_box(carry, mid):
-                found = mid
-            else:
-                lo = mid + 1
-        nv = ex.fold(found)
-        records.append((found, nv))
-        carry = nv
-        q0 = found + 1
-        if carry == 0:
-            break
+        if records and records[-1][0] == q:
+            records.pop()
+        records.append((q, abs(n)))
     return records
 
 

@@ -93,11 +93,6 @@ class Exact2D:
         num, den = float(a).as_integer_ratio()
         return cls(num, den)
 
-    def fold(self, q: int) -> int:
-        """N(q) = min_p |q num - p den|: the integer distance den*dist(qA, Z)."""
-        rem = (q * self.num) % self.den
-        return min(rem, self.den - rem)
-
     # -- the convergent ladder ---------------------------------------------
 
     @cached_property
@@ -239,7 +234,11 @@ class Exact2D:
         return out
 
     def any_point_in_box(self, n_strict: int, q_max: int) -> bool:
-        """Is there a point with |N| < n_strict (exact) and 1 <= q <= q_max?"""
+        """Is there a point with |N| < n_strict (exact) and 1 <= q <= q_max?
+
+        Not called by the lab: the tests' reference record walk probes with
+        it, and perfbench's tracer names it.
+        """
         if n_strict <= 0 or q_max < 1:
             return False
         for _, q in self._iter_box_points(n_strict - 1, q_max):
@@ -329,14 +328,19 @@ class Exact2D:
         """{(kind, r): g_sigma L_A in the target} for every kind and r.
 
         The exact counterpart of targets.membership_profile, whose callers
-        validate (kind, r) through TargetSpec.  Delta is computed once and
-        the slab enumerated once, at the largest r: every smaller slab lies
-        inside it, so each primed(r) is read off those points.  Thickened
-        kinds flow over [sigma, sigma + window), windows as in targets.
+        validate (kind, r) through TargetSpec.  Delta is computed once and,
+        unless it exceeds every r, the slab enumerated once, at the largest
+        r: every smaller slab lies inside it, so each primed(r) is read off
+        those points.  Thickened kinds flow over [sigma, sigma + window),
+        windows as in targets.
         """
         if KIND_SUB in kinds or KIND_PRIMED in kinds:
             delta = self.delta_flowed(sigma)
-            slab = self.slab_points(sigma, max(r_values)) if KIND_PRIMED in kinds else []
+            slab = (
+                self.slab_points(sigma, max(r_values))
+                if KIND_PRIMED in kinds and delta <= max(r_values) + 1e-12
+                else []
+            )
         out = {}
         for kind in kinds:
             for r in r_values:

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirichlet_lab.cli import cli_main
+from dirichlet_lab.cli import _build_parser, cli_main
 from dirichlet_lab.config import ExperimentConfig
 from dirichlet_lab.errors import ValidationError
 
@@ -177,6 +177,33 @@ def test_cli_measure_determinism_and_threads(tmp_path):
     body2 = run("b", 2)
     body3 = run("c", 1)
     assert body1 == body2 == body3
+
+
+def test_cli_calls_share_the_parser_but_not_its_values(tmp_path):
+    def run(sub, *argv):
+        assert cli_main(["check", *argv, "--out", str(tmp_path / sub)]) == 0
+        manifest = json.loads((tmp_path / sub / "manifest.json").read_text())
+        config = ExperimentConfig.from_text(manifest["config"]).entries
+        return config, json.loads((tmp_path / sub / "check.json").read_text())
+
+    first, first_check = run(
+        "a", "--A", "0.25", "--T", "100", "--classic", "--seed", "3", "--set", "extra.key=1"
+    )
+    second, second_check = run(
+        "b",
+        "--A", "0.0",
+        "--T", "50",
+        "--set", "psi.family=constant_ratio",
+        "--set", "psi.params=0.5",
+        "--set", "psi.t0=2.0",
+    )
+    assert first_check["classic"] and not second_check["classic"]
+    want = {"A": "0.25", "check.T": "100", "seed": "3", "extra.key": "1"}
+    assert {key: first[key] for key in want} == want
+    assert (second["A"], second["check.T"]) == ("0.0", "50")
+    assert not {"check.classic", "seed", "extra.key"} & set(second)
+    assert "psi.family" not in first
+    assert _build_parser() is _build_parser()
 
 
 def test_cli_manifest_digests_match(tmp_path):

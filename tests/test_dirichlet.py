@@ -6,6 +6,7 @@ import pytest
 
 from dirichlet_lab.approx import ConstantRatio, LogDrift
 from dirichlet_lab.dirichlet import (
+    _DENSE_LIMIT,
     _records_dense,
     _records_walk,
     _scalar_records,
@@ -16,7 +17,7 @@ from dirichlet_lab.dirichlet import (
 from dirichlet_lab.errors import BudgetExceeded
 from dirichlet_lab.exact2d import Exact2D
 from dirichlet_lab.lattice import WeightPair
-from dirichlet_lab.rng import substream
+from dirichlet_lab.rng import sample_torus_fixedpoint, substream
 
 W11 = WeightPair.unweighted(1, 1)
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -53,6 +54,97 @@ def test_records_dense_vs_walk():
         dense = _records_dense(num, den_exp, T)
         walk = _records_walk(Exact2D(num, den), T)
         assert dense == walk
+
+
+def _fold(ex, q):
+    """min_p |q num - p den|: the integer distance den * dist(qA, Z), by brute force."""
+    rem = (q * ex.num) % ex.den
+    return min(rem, ex.den - rem)
+
+
+def _records_walk_reference(ex, T):
+    """Strict error records via lattice block-skipping; exact for any horizon.
+
+    The reference for the ladder read of _records_walk: from each record,
+    double and then bisect q_max until a box probe finds a smaller error.
+    """
+    records = []
+    q0 = 1
+    carry = None
+    while q0 <= T:
+        if carry is None:
+            nv = _fold(ex, q0)
+            records.append((q0, nv))
+            carry = nv
+            q0 += 1
+            if carry == 0:
+                break
+            continue
+        hi = q0
+        found = None
+        while True:
+            if ex.any_point_in_box(carry, hi):
+                found = hi
+                break
+            if hi >= T:
+                break
+            hi = min(T, hi * 2)
+        if found is None:
+            break
+        lo = q0
+        while lo < found:
+            mid = (lo + found) // 2
+            if ex.any_point_in_box(carry, mid):
+                found = mid
+            else:
+                lo = mid + 1
+        nv = _fold(ex, found)
+        records.append((found, nv))
+        carry = nv
+        q0 = found + 1
+        if carry == 0:
+            break
+    return records
+
+
+def _check_records(num, den, T):
+    """The ladder's records equal the reference walk's and, for a power-of-two
+    denominator within the dense backend's reach, the dense backend's."""
+    ex = Exact2D(num, den)
+    got = _records_walk(ex, T)
+    assert got == _records_walk_reference(ex, T), (num, den, T)
+    den_exp = den.bit_length() - 1
+    if den == 1 << den_exp and den_exp <= 64 and min(T, den) <= _DENSE_LIMIT:
+        assert got == _records_dense(num, den_exp, T), (num, den, T)
+
+
+@pytest.mark.parametrize(
+    "num, den",
+    [
+        (0, 1),
+        (1, 2),
+        (2, 5),
+        (3, 8),
+        (3, 5),  # a_1 = 1: q = 1 twice on the ladder
+        (7, 8),  # a_1 = 1
+        (1, 2**64),
+        (2**63 + 1, 2**64),
+        (1, 3),
+        (12345, 99991),
+    ],
+)
+def test_ladder_records_match_reference_walk_edge_cases(num, den):
+    for T in (1, 2, 3, 10, 10**3, 10**6, 10**12):
+        _check_records(num, den, T)
+
+
+@pytest.mark.parametrize("bits", [64, 192, 256])
+def test_ladder_records_match_reference_walk_fixed_point(bits):
+    rng = substream(37, "fp-records", bits)
+    for _ in range(3):
+        num, den = sample_torus_fixedpoint(rng, 1, 1, bits)
+        for T in (10**6, 10**12, 10**30):
+            _check_records(num[0][0], den, T)
 
 
 def test_records_dense_allocates_for_its_horizon():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from dirichlet_lab.dirichlet import _records_walk
 from dirichlet_lab.errors import BudgetExceeded, CapExceeded, ValidationError
 from dirichlet_lab.exact2d import Exact2D, log_int
 from dirichlet_lab.lattice import WeightPair, apply_flow, delta, lattice_from_matrix
@@ -33,10 +34,18 @@ def test_log_int_small_and_huge():
     assert log_int(n) == pytest.approx(500 * math.log(3.0), rel=1e-14)
 
 
-def test_fold_exact():
+def _fold(ex, q):
+    """min_p |q num - p den|: the integer distance den * dist(qA, Z), by brute force."""
+    rem = (q * ex.num) % ex.den
+    return min(rem, ex.den - rem)
+
+
+def test_ladder_records_exact():
     ex = Exact2D(3, 8)  # A = 3/8
     # dist(q * 3/8) over q = 1..8: 3/8 -> 3, 6/8 -> 2, 9/8 -> 1, 12/8 -> 4 ...
-    assert [ex.fold(q) for q in range(1, 9)] == [3, 2, 1, 4, 1, 2, 3, 0]
+    assert [_fold(ex, q) for q in range(1, 9)] == [3, 2, 1, 4, 1, 2, 3, 0]
+    # ... so the strict records are the rungs of [0; 2, 1, 2]
+    assert _records_walk(ex, 8) == [(1, 3), (2, 2), (3, 1), (8, 0)]
 
 
 def test_delta_flowed_matches_float_path():
@@ -136,6 +145,17 @@ def test_membership_profile_matches_single_queries():
                 for key, hit in profile.items():
                     seen[key[0]].add(hit)
     assert all(values == {False, True} for values in seen.values())
+
+
+def test_membership_profile_skips_slab_when_delta_exceeds_every_r():
+    # A = 0.3 (55-bit den) at sigma = 50: the slab box holds ~e^50 / den
+    # points, past the enumeration cap, while Delta = 12.57 answers everything
+    ex = Exact2D.from_float(0.3)
+    assert ex.delta_flowed(50.0) > 12.0
+    profile = ex.membership_profile(50.0, [KIND_SUB, KIND_PRIMED], [0.05, 0.2])
+    assert not any(profile.values())
+    with pytest.raises(CapExceeded):
+        ex.slab_points(50.0, 0.2)
 
 
 def test_orbit_escapes_for_low_precision_rational():
@@ -402,7 +422,7 @@ def test_delta_grid_with_huge_partial_quotient(num, den, rungs):
         want = -min(ex.flow_sup_log(pt, sigma) for pt in rungs)
         assert repr(ex.delta_flowed(sigma)) == repr(want)
         # no point with a small q does better
-        assert all(ex.flow_sup_log((ex.fold(q), q), sigma) >= -want for q in range(1, 200))
+        assert all(ex.flow_sup_log((_fold(ex, q), q), sigma) >= -want for q in range(1, 200))
     assert ex._ladder[0] == rungs
 
 

@@ -1,5 +1,5 @@
-"""Independent stress check of the divide-and-conquer record walk at a
-horizon far beyond the dense backend limit."""
+"""Independent stress check of the records read off the convergent ladder
+at a horizon far beyond the dense backend limit."""
 
 import numpy as np
 
@@ -35,7 +35,7 @@ def test_walk_records_verified_windowwise_at_4e8():
     assert records[-1][0] <= T
 
     # every record must be the first improvement inside its local window,
-    # re-derived by dense enumeration independent of the walk
+    # re-derived by dense enumeration independent of the ladder
     for idx in range(1, len(records)):
         q_star, n_star = records[idx]
         carry = records[idx - 1][1]
