@@ -8,7 +8,9 @@ drives everything: the critical series
 
 decides the zero-one dichotomy, and F feeds the time-change to the
 diagonal-flow rate (see rate.py).  Each family stores F in closed form so
-small values of F never suffer cancellation from computing 1 - t*psi(t).
+small values of F never suffer cancellation from computing 1 - t*psi(t),
+and states psi and F once, on one float; arrays are evaluated through the
+same formulas.
 """
 
 from __future__ import annotations
@@ -54,47 +56,46 @@ def _as_array(t):
 class PsiFunction:
     """Base class; subclasses provide psi(t) and the cancellation-free F(t).
 
-    Scalar arguments stay in plain-float arithmetic (the rate inversion
-    calls these in a tight loop); arrays go through numpy.
+    Each family states one closed form per quantity, `_psi` and `_f`, on
+    one float; an array is evaluated point by point through the same two
+    methods, so every t has one value however it is asked for.  The domain
+    is [t0, t_end]; only families with a finite end check it.
     """
 
     family: str = "base"
     t0: float
+    t_end: float = math.inf
 
     def psi(self, t):
         if isinstance(t, (int, float)):
-            self._check_scalar(t)
-            return self._psi_scalar(float(t))
-        return self._psi_array(self._check_domain(t))
+            self._check(t)
+            return self._psi(float(t))
+        return self._map(self._psi, t)
 
     def f(self, t):
         """F(t) = 1 - t*psi(t), evaluated in closed form per family."""
         if isinstance(t, (int, float)):
-            self._check_scalar(t)
-            return self._f_scalar(float(t))
-        return self._f_array(self._check_domain(t))
+            self._check(t)
+            return self._f(float(t))
+        return self._map(self._f, t)
 
-    def _psi_scalar(self, t):
+    def _psi(self, t):
         raise NotImplementedError
 
-    def _f_scalar(self, t):
+    def _f(self, t):
         raise NotImplementedError
 
-    def _psi_array(self, t):
-        raise NotImplementedError
-
-    def _f_array(self, t):
-        raise NotImplementedError
-
-    def _check_scalar(self, t):
+    def _check(self, t):
         if t < self.t0 * (1.0 - 1e-12):
             raise DomainError(f"t below domain start t0={self.t0}")
 
-    def _check_domain(self, t):
+    def _map(self, formula, t):
         arr = _as_array(t)
-        if np.any(arr < self.t0 * (1.0 - 1e-12)):
-            raise DomainError(f"t below domain start t0={self.t0}")
-        return arr
+        out = []
+        for x in arr.ravel().tolist():
+            self._check(x)
+            out.append(formula(x))
+        return np.array(out, dtype=float).reshape(arr.shape)
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -127,17 +128,11 @@ class ConstantRatio(PsiFunction):
         self.c = float(c)
         self.t0 = float(t0)
 
-    def _psi_scalar(self, t):
+    def _psi(self, t):
         return self.c / t
 
-    def _f_scalar(self, t):
+    def _f(self, t):
         return 1.0 - self.c
-
-    def _psi_array(self, t):
-        return self.c / t
-
-    def _f_array(self, t):
-        return np.full_like(t, 1.0 - self.c)
 
     def params(self):
         return {"c": self.c}
@@ -171,17 +166,11 @@ class LogDrift(PsiFunction):
         self.a = float(a)
         self.t0 = float(t0)
 
-    def _psi_scalar(self, t):
+    def _psi(self, t):
         return (1.0 - self.c * math.log(t) ** (-self.a)) / t
 
-    def _f_scalar(self, t):
+    def _f(self, t):
         return self.c * math.log(t) ** (-self.a)
-
-    def _psi_array(self, t):
-        return (1.0 - self.c * np.log(t) ** (-self.a)) / t
-
-    def _f_array(self, t):
-        return self.c * np.log(t) ** (-self.a)
 
     def params(self):
         return {"c": self.c, "a": self.a}
@@ -201,16 +190,10 @@ class PowerDrift(PsiFunction):
         self.a = float(a)
         self.t0 = float(t0)
 
-    def _psi_scalar(self, t):
+    def _psi(self, t):
         return (1.0 - self.c * t ** (-self.a)) / t
 
-    def _f_scalar(self, t):
-        return self.c * t ** (-self.a)
-
-    def _psi_array(self, t):
-        return (1.0 - self.c * t ** (-self.a)) / t
-
-    def _f_array(self, t):
+    def _f(self, t):
         return self.c * t ** (-self.a)
 
     def params(self):
@@ -239,28 +222,16 @@ class Tabulated(PsiFunction):
         self._ts = np.array(ts)
         self._ps = np.array([p for _, p in knots])
 
-    def _check_scalar(self, t):
-        super()._check_scalar(t)
+    def _check(self, t):
+        super()._check(t)
         if t > self.t_end * (1.0 + 1e-12):
             raise DomainError(f"t beyond last knot t={self.t_end}")
 
-    def _check_domain(self, t):
-        arr = super()._check_domain(t)
-        if np.any(arr > self.t_end * (1.0 + 1e-12)):
-            raise DomainError(f"t beyond last knot t={self.t_end}")
-        return arr
-
-    def _psi_scalar(self, t):
+    def _psi(self, t):
         return float(np.interp(t, self._ts, self._ps))
 
-    def _f_scalar(self, t):
-        return 1.0 - t * float(np.interp(t, self._ts, self._ps))
-
-    def _psi_array(self, t):
-        return np.interp(t, self._ts, self._ps)
-
-    def _f_array(self, t):
-        return 1.0 - t * np.interp(t, self._ts, self._ps)
+    def _f(self, t):
+        return 1.0 - t * self._psi(t)
 
     def params(self):
         return {"knots": self.knots}
@@ -279,24 +250,16 @@ class MaxWithHalf(PsiFunction):
     def __init__(self, base: PsiFunction):
         self.base = base
         self.t0 = base.t0
+        self.t_end = base.t_end
 
-    def _check_scalar(self, t):
-        self.base._check_scalar(t)
+    def _check(self, t):
+        self.base._check(t)
 
-    def _check_domain(self, t):
-        return self.base._check_domain(t)
+    def _psi(self, t):
+        return max(self.base._psi(t), 0.5 / t)
 
-    def _psi_scalar(self, t):
-        return max(self.base._psi_scalar(t), 0.5 / t)
-
-    def _f_scalar(self, t):
-        return min(self.base._f_scalar(t), 0.5)
-
-    def _psi_array(self, t):
-        return np.maximum(self.base._psi_array(t), 0.5 / t)
-
-    def _f_array(self, t):
-        return np.minimum(self.base._f_array(t), 0.5)
+    def _f(self, t):
+        return min(self.base._f(t), 0.5)
 
     def params(self):
         return {"base": self.base}

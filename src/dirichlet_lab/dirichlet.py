@@ -62,7 +62,7 @@ def psi_inverse(psi: PsiFunction, err: float, t_lo: float, t_cap: float) -> floa
     if err <= 0.0:
         return math.inf
     # domain-bounded families (tabulated) clamp the bisection cap
-    t_cap = min(t_cap, getattr(psi, "t_end", math.inf))
+    t_cap = min(t_cap, psi.t_end)
     p_lo = float(psi.psi(t_lo))
     if err >= p_lo:
         return t_lo
@@ -204,17 +204,9 @@ def _q_box_records(A: np.ndarray, T: float, w: WeightPair, budget: int):
         raise BudgetExceeded(f"q-box has {count} points, budget {budget}")
     grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
     Q = np.stack([g.ravel() for g in grids], axis=0).astype(float)  # (n, K)
-    # canonical sign: first nonzero coordinate positive; drop q = 0
-    nz = np.any(Q != 0, axis=0)
-    Q = Q[:, nz]
-    lead = np.zeros(Q.shape[1], dtype=bool)
-    undecided = np.ones(Q.shape[1], dtype=bool)
-    for j in range(n):
-        pos = undecided & (Q[j] > 0)
-        neg = undecided & (Q[j] < 0)
-        lead |= pos
-        undecided &= ~(pos | neg)
-    Q = Q[:, lead]
+    # canonical sign, first nonzero coordinate positive: the grid is symmetric
+    # and lexicographic with q = 0 at its centre, so keep what follows it
+    Q = Q[:, Q.shape[1] // 2 + 1 :]
     beta = np.array(w.beta)
     qnorm = np.max(np.abs(Q) ** (1.0 / beta[:, None]), axis=0)
     keep = qnorm < T - 1e-12 * max(1.0, T)

@@ -182,16 +182,10 @@ class Exact2D:
         """
         if n_max < 0 or q_max < 0:
             return
-        points, _, _, keys = self._ladder
+        points = self._ladder[0]
         den = self.den
-        if n_max and q_max:
-            c = bisect_left(keys, log_int(q_max) - log_int(n_max) + self.log_den)
-        else:
-            c = 0 if q_max == 0 else len(points) - 1
-        while c > 0 and n_max * points[c - 1][1] >= q_max * abs(points[c - 1][0]):
-            c -= 1
-        while n_max * points[c][1] < q_max * abs(points[c][0]):
-            c += 1
+        # monotone along the ladder: |N_k| falls and q_k rises
+        c = bisect_left(points, True, key=lambda p: n_max * p[1] >= q_max * abs(p[0]))
         best = None
         for i in (c - 1, c):
             if i < 0:

@@ -23,7 +23,7 @@ from .approx import DimensionParams, PsiFunction
 from .dirichlet import psi_dirichlet_scan
 from .errors import BudgetExceeded, ConstructionError, ValidationError
 from .exact2d import Exact2D
-from .lattice import UnimodularLattice, WeightPair, apply_flow
+from .lattice import UnimodularLattice, WeightPair, apply_flow, lattice_from_matrix
 from .mc import CoordinateRegion, sample_region_lattice
 from .parallel import indexed_map
 from .rate import RateFunction, dani_rate, dani_time, s0_of
@@ -53,7 +53,6 @@ class HitSeries:
     hits: np.ndarray
     radii: np.ndarray
     constants: dict
-    A_repr: str = ""
 
     @property
     def k_values(self):
@@ -118,19 +117,15 @@ def orbit_hit_series(
         ex = Exact2D(num, den)
         for idx, k in enumerate(range(k_lo, k_hi + 1)):
             hits[idx] = ex.hits_thick(float(k), window, float(radii[idx]), primed)
-        a_repr = f"{num}/{den}"
     else:
         if k_hi + window > FLOAT_FLOW_HORIZON:
             raise BudgetExceeded(
                 f"float-basis orbits are only exact up to flow time {FLOAT_FLOW_HORIZON}"
             )
-        from .lattice import lattice_from_matrix
-
         L = lattice_from_matrix(np.asarray(A, dtype=float), w.dims)
         for idx, k in enumerate(range(k_lo, k_hi + 1)):
             spec = TargetSpec(kind, float(radii[idx]), w)
             hits[idx] = in_target(apply_flow(L, float(k), w), spec)
-        a_repr = np.array2string(np.asarray(A, dtype=float), precision=17)
     constants = {"C_r": C_r, "omega1": w.omega1, "omega2": w.omega2, "a": a}
     return HitSeries(
         variant=variant,
@@ -139,7 +134,6 @@ def orbit_hit_series(
         hits=hits,
         radii=radii,
         constants=constants,
-        A_repr=a_repr,
     )
 
 

@@ -150,9 +150,6 @@ class CoordinateRegion:
     r: float
     d: int
     c0: float = 0.1
-    con2: bool = True
-    con3: bool = True
-    con4: bool = True
     extra: bool = True
 
     def __post_init__(self):
@@ -205,24 +202,21 @@ def _sample_region_coords(region: CoordinateRegion, rng):
             b[key[1], key[2]] = val
         else:
             x[key[1]] = val
-    if region.con2:
-        for i in range(3, d + 1):
-            for j in range(2, min(i, d)):
-                if not b[i, j] < d * b[i, j - 1]:
+    for i in range(3, d + 1):
+        for j in range(2, min(i, d)):
+            if not b[i, j] < d * b[i, j - 1]:
+                return None
+    for j in range(1, d - 1):
+        for i in range(j + 1, d):
+            if not abs(b[i, j] * b[j, i]) < r / math.factorial(d):
+                return None
+    if not sum(abs(b[d, j]) * x[j] for j in range(1, d)) < r / 2.0:
+        return None
+    for j in range(1, d + 1):
+        for k in range(j + 1, d + 1):
+            for i in range(k + 1, d + 1):
+                if j < d and not b[k, j] > b[i, j]:
                     return None
-    if region.con3:
-        for j in range(1, d - 1):
-            for i in range(j + 1, d):
-                if not abs(b[i, j] * b[j, i]) < r / math.factorial(d):
-                    return None
-        if not sum(abs(b[d, j]) * x[j] for j in range(1, d)) < r / 2.0:
-            return None
-    if region.con4:
-        for j in range(1, d + 1):
-            for k in range(j + 1, d + 1):
-                for i in range(k + 1, d + 1):
-                    if j < d and not b[k, j] > b[i, j]:
-                        return None
     return b, x
 
 

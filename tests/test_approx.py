@@ -64,6 +64,34 @@ def test_domain_error_below_t0():
         f_psi(psi, 1.5)
 
 
+def test_array_values_equal_scalar_values_bit_for_bit():
+    families = [
+        (ConstantRatio(0.4, t0=2.0), 1e8),
+        (LogDrift(c=1.0, a=0.5), 1e8),
+        (PowerDrift(c=0.5, a=0.3), 1e8),
+        (Tabulated([(2.0, 0.3), (50.0, 0.015), (500.0, 0.0015), (5000.0, 0.00015)]), 5000.0),
+        (MaxWithHalf(LogDrift(c=1.0, a=0.5)), 1e8),
+    ]
+    for psi, t_hi in families:
+        grid = np.geomspace(psi.t0, t_hi, 2000)
+        for method in (psi.psi, psi.f):
+            scalar = [method(t) for t in grid.tolist()]
+            assert method(grid).tolist() == scalar, (psi, method.__name__)
+            assert method(grid.reshape(40, 50)).ravel().tolist() == scalar
+
+
+def test_reduced_tabulated_keeps_its_domain():
+    tab = Tabulated([(2.0, 0.3), (50.0, 0.015), (500.0, 0.0015)])
+    reduced = reduce_lower_bound(tab)
+    assert (reduced.t0, reduced.t_end) == (2.0, 500.0)
+    assert reduced.psi(500.0) == tab.psi(500.0)
+    for t in (501.0, np.array([100.0, 501.0])):
+        with pytest.raises(DomainError):
+            reduced.psi(t)
+        with pytest.raises(DomainError):
+            reduced.f(t)
+
+
 def test_validate_constant_ratio_passes():
     psi = ConstantRatio(0.5, t0=2.0)
     rep = validate_psi(psi, np.geomspace(10, 1e6, 200))

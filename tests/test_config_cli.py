@@ -90,6 +90,27 @@ def test_cli_check_zero_matrix(tmp_path, capsys):
     assert data["uncovered"] == []
 
 
+def test_cli_check_reduced_tabulated_psi(tmp_path):
+    # the reduced psi keeps the last knot as its domain end, so the scan's
+    # inversion cap stops there instead of evaluating past it
+    def run(sub, *extra):
+        argv = [
+            "check",
+            "--A", "0.3819660112501051",
+            "--T", "1000",
+            "--set", "psi.family=tabulated",
+            "--set", "psi.knots=2:0.3,50:0.015,500:0.0015,5000:0.00015",
+            *extra,
+            "--out", str(tmp_path / sub),
+        ]
+        assert cli_main(argv) == 0
+        return json.loads((tmp_path / sub / "check.json").read_text())
+
+    plain = run("plain")
+    reduced = run("reduced", "--set", "psi.reduce=true")
+    assert reduced["uncovered"] == plain["uncovered"]
+
+
 def test_cli_check_both_oracles(tmp_path, capsys):
     code = cli_main(
         [

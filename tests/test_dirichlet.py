@@ -7,6 +7,8 @@ import pytest
 from dirichlet_lab.approx import ConstantRatio, LogDrift
 from dirichlet_lab.dirichlet import (
     _DENSE_LIMIT,
+    _int_strictly_below,
+    _q_box_records,
     _records_dense,
     _records_walk,
     _scalar_records,
@@ -255,6 +257,53 @@ def test_budget_guard():
     w = WeightPair.unweighted(1, 2)
     with pytest.raises(BudgetExceeded):
         psi_dirichlet_scan(np.array([[0.3, 0.4]]), psi, 1e9, w, budget=1000)
+
+
+def _q_box_records_masked(A, T, w):
+    """Reference: the q-box records with the canonical sign chosen by a mask."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    n = A.shape[1]
+    bounds = [max(_int_strictly_below(T ** w.beta[j]), 0) for j in range(n)]
+    grids = np.meshgrid(*[np.arange(-b, b + 1) for b in bounds], indexing="ij")
+    Q = np.stack([g.ravel() for g in grids], axis=0).astype(float)
+    Q = Q[:, np.any(Q != 0, axis=0)]
+    lead = np.zeros(Q.shape[1], dtype=bool)
+    undecided = np.ones(Q.shape[1], dtype=bool)
+    for j in range(n):
+        pos = undecided & (Q[j] > 0)
+        neg = undecided & (Q[j] < 0)
+        lead |= pos
+        undecided &= ~(pos | neg)
+    Q = Q[:, lead]
+    beta = np.array(w.beta)
+    qnorm = np.max(np.abs(Q) ** (1.0 / beta[:, None]), axis=0)
+    keep = qnorm < T - 1e-12 * max(1.0, T)
+    Q, qnorm = Q[:, keep], qnorm[keep]
+    X = A @ Q
+    X -= np.rint(X)
+    err = np.max(np.abs(X) ** (1.0 / np.array(w.alpha)[:, None]), axis=0)
+    records = []
+    best = math.inf
+    for idx in np.argsort(qnorm, kind="stable"):
+        if float(err[idx]) < best:
+            best = float(err[idx])
+            records.append((float(qnorm[idx]), best))
+    return records, int(Q.shape[1])
+
+
+def test_q_box_records_match_masked_reference():
+    rng = substream(36, "qbox", 0)
+    for i in range(60):
+        m, n = [(1, 1), (1, 2), (2, 1), (1, 3), (3, 1), (2, 2)][i % 6]
+        if i % 12 < 6:
+            w = WeightPair.unweighted(m, n)
+        else:
+            alpha, beta = rng.dirichlet(np.ones(m) * 4), rng.dirichlet(np.ones(n) * 4)
+            w = WeightPair(alpha=alpha / alpha.sum(), beta=beta / beta.sum())
+        A = rng.random((m, n))
+        T = float(rng.uniform(1.0, 1000.0)) if i % 5 else float(rng.integers(1, 1001))
+        got = _q_box_records(A, T, w, 200_000)
+        assert repr(got) == repr(_q_box_records_masked(A, T, w)), (A, T, w)
 
 
 def test_exact_rational_scan_matches_float():
