@@ -216,6 +216,19 @@ class Tabulated(PsiFunction):
             raise ValidationError("t0 must exceed 1")
         if any(p <= 0 for _, p in knots):
             raise ValidationError("psi values must be positive")
+        for (t1, p1), (t2, p2) in zip(knots, knots[1:]):
+            # t psi(t) = t (p1 + s (t - t1)) is a quadratic on the segment, so
+            # its maximum is at an end or, when s < 0, at the vertex
+            s = (p2 - p1) / (t2 - t1)
+            top = max(t1 * p1, t2 * p2)
+            if s < 0:
+                vertex = (s * t1 - p1) / (2.0 * s)
+                if t1 < vertex < t2:
+                    top = max(top, vertex * (p1 + s * (vertex - t1)))
+            if top >= 1.0:
+                raise ValidationError(
+                    f"t*psi reaches {top:.6g} on [{t1:g}, {t2:g}]: psi must stay below 1/t"
+                )
         self.knots = tuple(knots)
         self.t0 = ts[0]
         self.t_end = ts[-1]
@@ -334,15 +347,26 @@ def validate_psi(psi: PsiFunction, grid, eta: float = 0.5) -> ValidationReport:
 
 def critical_series_partial(psi: PsiFunction, dims: DimensionParams, k_max: int) -> float:
     """Partial sum of the critical series from k = ceil(t0) to k_max, low-to-high."""
+    return _critical_series_partials(psi, dims, [k_max])[0]
+
+
+def _critical_series_partials(psi: PsiFunction, dims: DimensionParams, horizons) -> list:
+    """critical_series_partial at each of the increasing horizons, from one pass.
+
+    The terms are evaluated once up to the last horizon and each partial
+    sum is read off their running sum, which adds low-to-high, so every
+    value is the one-horizon sum bit for bit.
+    """
     k_lo = math.ceil(psi.t0)
-    if k_max < k_lo:
+    if horizons[0] < k_lo:
         raise DomainError(f"k_max must be >= ceil(t0) = {k_lo}")
-    k = np.arange(k_lo, k_max + 1, dtype=float)
+    k = np.arange(k_lo, horizons[-1] + 1, dtype=float)
     fv = np.asarray(psi.f(k), dtype=float)
     if np.any(fv <= 0):
         raise ValidationError("F <= 0 on the summation range; psi violates psi < 1/t")
     terms = fv**dims.kappa_d * np.log1p(1.0 / fv) ** dims.lambda_d / k
-    return float(np.cumsum(terms)[-1])
+    sums = np.cumsum(terms)
+    return [float(sums[h - k_lo]) for h in horizons]
 
 
 VERDICT_CONVERGENT = "convergent"
@@ -406,7 +430,7 @@ def classify_series(psi: PsiFunction, dims: DimensionParams, horizons) -> Series
     horizons = [int(h) for h in horizons]
     if len(horizons) < 2 or any(h2 <= h1 for h1, h2 in zip(horizons, horizons[1:])):
         raise ValidationError("horizons must be >= 2 increasing integers")
-    partials = [(h, critical_series_partial(psi, dims, h)) for h in horizons]
+    partials = list(zip(horizons, _critical_series_partials(psi, dims, horizons)))
 
     closed = _closed_form_verdict(psi, dims)
     if closed is not None:

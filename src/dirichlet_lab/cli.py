@@ -297,7 +297,7 @@ def _run_orbit(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         elif variant in ("upper", "lower") and "psi.family" in cfg.entries:
             # the bracketing constant from the empirical quasi-decrease bound
             psi = cfg.psi()
-            grid = np.geomspace(psi.t0, psi.t0 * math.exp(10.0), 200)
+            grid = np.geomspace(psi.t0, min(psi.t0 * math.exp(10.0), psi.t_end), 200)
             c_hat = validate_psi(psi, grid).c_hat
             C_r = (2.0 * max(c_hat, 1.0)) ** 2
         else:

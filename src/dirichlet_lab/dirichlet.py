@@ -68,10 +68,12 @@ def psi_inverse(psi: PsiFunction, err: float, t_lo: float, t_cap: float) -> floa
         return t_lo
     if err < float(psi.psi(t_cap)):
         return math.inf
+    # every midpoint lies inside the checked endpoints: evaluate the formula
+    formula = psi._psi
     lo, hi = t_lo, t_cap
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if float(psi.psi(mid)) > err:
+        if formula(mid) > err:
             lo = mid
         else:
             hi = mid
@@ -149,8 +151,11 @@ def _records_walk(ex: Exact2D, T: int):
     Thms 16-17) they are the convergent rungs (q_k, |N_k|) of ex's ladder.
     Where a_1 = 1 the ladder holds q = 1 twice; the later, smaller rung wins.
     """
+    points = ex._points
+    while points[-1][1] <= T and ex._grow():
+        pass
     records = []
-    for n, q in ex._ladder[0][1:]:
+    for n, q in points[1:]:
         if q > T:
             break
         if records and records[-1][0] == q:

@@ -26,15 +26,17 @@ Thickened membership needs exact integers only for the log-moduli of the
 points in one candidate box; their s-intervals and the interval algebra
 are targets.witness_from_logs, the kernel of the float path.
 
-The ladder is built on first use and never changes, so an instance is
-immutable from then on and its answers do not depend on call history.
+The ladder grows in place, one Euclid step per rung, and each query grows
+it only as far as it reads: Delta at sigma to the first key past 2 sigma,
+a box to its balance rung and that rung's partner, the scan records to
+q > T.  Rungs are only ever appended, so every answer reads a prefix of
+the full ladder and does not depend on call history.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from functools import cached_property
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
 from .lattice import WeightPair
@@ -52,6 +54,8 @@ _LOG2 = math.log(2.0)
 # 2^640, so every box holds all the points it has to.
 MAX_SIGMA = 250.0
 _W11 = WeightPair.unweighted(1, 1)
+# keys and the settle walk of delta_flowed round differently, by ~1e-13 here
+_KEY_MARGIN = 1e-6
 
 
 def log_int(n: int) -> float:
@@ -87,6 +91,14 @@ class Exact2D:
         self.num = int(num) % int(den) if den > 1 else 0
         self.den = int(den)
         self.log_den = log_int(self.den) if self.den > 1 else 0.0
+        # the convergent ladder, started at (-den, 0) and (num, 1) and grown
+        # by _grow; the state is documented there
+        log_num = log_int(self.num) if self.num else -math.inf
+        self._points = [(-self.den, 0), (self.num, 1)]
+        self._log_n = [self.log_den, log_num]
+        self._log_q = [-math.inf, 0.0]
+        self._keys = [-math.inf, 0.0 - log_num + self.log_den]
+        self._quotients = partial_quotients(self.num, self.den)
 
     @classmethod
     def from_float(cls, a: float) -> "Exact2D":
@@ -95,25 +107,31 @@ class Exact2D:
 
     # -- the convergent ladder ---------------------------------------------
 
-    @cached_property
-    def _ladder(self):
-        """(points, log|N_k|, log q_k, keys) along the convergent ladder.
+    def _grow(self) -> bool:
+        """Append the next rung by one Euclid step; False once N = 0 is reached.
 
-        points[k] = (N_k, q_k), from (-den, 0) and (num, 1) by
+        _points[k] = (N_k, q_k), from (-den, 0) and (num, 1) by
         b_{k+1} = b_{k-1} + a_{k+1} b_k until N = 0; the signs of N_k
-        alternate, |N_k| falls and q_k rises.  A zero coordinate has log
-        -inf.  keys[k] = log q_k - log|N_k| + log den increases with k;
-        rung k is flowed into balance at 2 sigma = keys[k].
+        alternate, |N_k| falls and q_k rises.  _log_n and _log_q hold
+        log|N_k| and log q_k, -inf for a zero coordinate.  _keys[k] =
+        log q_k - log|N_k| + log den increases with k; rung k is flowed
+        into balance at 2 sigma = keys[k].  Rungs are only appended, so
+        the lists are always a prefix of the full ladder.
         """
-        prev, cur = (-self.den, 0), (self.num, 1)
-        points = [prev, cur]
-        for a in partial_quotients(self.num, self.den):
-            prev, cur = cur, (prev[0] + a * cur[0], prev[1] + a * cur[1])
-            points.append(cur)
-        log_n = [log_int(abs(n)) if n else -math.inf for n, _ in points]
-        log_q = [log_int(q) if q else -math.inf for _, q in points]
-        keys = [y - x + self.log_den for x, y in zip(log_n, log_q)]
-        return points, log_n, log_q, keys
+        a = next(self._quotients, None)
+        if a is None:
+            return False
+        points = self._points
+        (n0, q0), (n1, q1) = points[-2:]
+        n = n0 + a * n1
+        q = q0 + a * q1
+        points.append((n, q))
+        log_n = log_int(abs(n)) if n else -math.inf
+        log_q = log_int(q)
+        self._log_n.append(log_n)
+        self._log_q.append(log_q)
+        self._keys.append(log_q - log_n + self.log_den)
+        return True
 
     def _reduced(self, wx_log: float, wy_log: float, max_iter: int = 100_000):
         """Gauss-reduce (den, 0), (num, 1) under the norm (x e^wx_log)^2 + (y e^wy_log)^2.
@@ -182,9 +200,13 @@ class Exact2D:
         """
         if n_max < 0 or q_max < 0:
             return
-        points = self._ladder[0]
+        points = self._points
+        # the balance test is monotone along the ladder (|N_k| falls and q_k
+        # rises); once it holds on the rung before the last, the first rung c
+        # where it holds and its partner c + 1 are both grown
+        while n_max * points[-2][1] < q_max * abs(points[-2][0]) and self._grow():
+            pass
         den = self.den
-        # monotone along the ladder: |N_k| falls and q_k rises
         c = bisect_left(points, True, key=lambda p: n_max * p[1] >= q_max * abs(p[0]))
         best = None
         for i in (c - 1, c):
@@ -276,7 +298,12 @@ class Exact2D:
         minimum over all nonzero lattice points.
         """
         self._check_sigma(abs(sigma))
-        _, log_n, log_q, keys = self._ladder
+        log_n, log_q, keys = self._log_n, self._log_q, self._keys
+        # grown until the last key clears 2 sigma by far more than the
+        # rounding between the keys and the walk's expressions, so the walk
+        # below settles inside the grown rungs
+        while keys[-1] < 2.0 * sigma + _KEY_MARGIN and self._grow():
+            pass
         log_den = self.log_den
         j = bisect_left(keys, 2.0 * sigma)
         while j > 0 and -sigma + log_q[j - 1] >= (sigma + log_n[j - 1]) - log_den:

@@ -64,12 +64,35 @@ def test_domain_error_below_t0():
         f_psi(psi, 1.5)
 
 
+def _knots_06(t_end):
+    """Knots of psi = 0.6/t at t = 2, 4, ..., t_end.
+
+    On a segment with knot ratio 2 the interpolant reaches t psi = 0.6 (1 +
+    1/8) = 0.675 < 1 at its midpoint, and psi >= 0.6/t >= 1/(2t).
+    """
+    ts = [2.0]
+    while ts[-1] < t_end:
+        ts.append(2.0 * ts[-1])
+    return [(t, 0.6 / t) for t in ts]
+
+
+def test_tabulated_rejects_psi_above_one_over_t_between_knots():
+    # t psi = 0.6 at t = 2 and 0.75 at t = 50, but the chord reaches ~4.1 near t = 26
+    with pytest.raises(ValidationError, match="below 1/t"):
+        Tabulated([(2.0, 0.3), (50.0, 0.015), (500.0, 0.0015), (5000.0, 0.00015)])
+    with pytest.raises(ValidationError):
+        Tabulated([(2.0, 0.25), (4.0, 0.25)])  # t psi = 1 at the last knot
+    # a chord of 0.6/t with knot ratio 2 peaks at 0.675 (t = 3): accepted
+    tab = Tabulated(_knots_06(8.0))
+    assert tab.psi(3.0) * 3.0 == pytest.approx(0.675)
+
+
 def test_array_values_equal_scalar_values_bit_for_bit():
     families = [
         (ConstantRatio(0.4, t0=2.0), 1e8),
         (LogDrift(c=1.0, a=0.5), 1e8),
         (PowerDrift(c=0.5, a=0.3), 1e8),
-        (Tabulated([(2.0, 0.3), (50.0, 0.015), (500.0, 0.0015), (5000.0, 0.00015)]), 5000.0),
+        (Tabulated(_knots_06(4096.0)), 4096.0),
         (MaxWithHalf(LogDrift(c=1.0, a=0.5)), 1e8),
     ]
     for psi, t_hi in families:
@@ -81,11 +104,11 @@ def test_array_values_equal_scalar_values_bit_for_bit():
 
 
 def test_reduced_tabulated_keeps_its_domain():
-    tab = Tabulated([(2.0, 0.3), (50.0, 0.015), (500.0, 0.0015)])
+    tab = Tabulated(_knots_06(512.0))
     reduced = reduce_lower_bound(tab)
-    assert (reduced.t0, reduced.t_end) == (2.0, 500.0)
-    assert reduced.psi(500.0) == tab.psi(500.0)
-    for t in (501.0, np.array([100.0, 501.0])):
+    assert (reduced.t0, reduced.t_end) == (2.0, 512.0)
+    assert reduced.psi(512.0) == tab.psi(512.0)
+    for t in (513.0, np.array([100.0, 513.0])):
         with pytest.raises(DomainError):
             reduced.psi(t)
         with pytest.raises(DomainError):
@@ -157,6 +180,16 @@ def test_classify_closed_forms():
     assert v.verdict == VERDICT_CONVERGENT and not v.heuristic
     assert classify_series(LogDrift(1.0, 0.5), D2, [100, 200]).verdict == VERDICT_DIVERGENT
     assert classify_series(PowerDrift(0.5, 1.0), D2, [100, 200]).verdict == VERDICT_CONVERGENT
+
+
+def test_classify_partial_sums_equal_one_horizon_calls():
+    horizons = [1000, 2000, 4000, 8000, 16000]
+    for psi in (LogDrift(1.0, 0.5), ConstantRatio(0.5, 2.0), MaxWithHalf(PowerDrift(0.5, 0.3))):
+        got = classify_series(psi, D2, horizons).partial_sums
+        want = [(h, critical_series_partial(psi, D2, h)) for h in horizons]
+        assert repr(got) == repr(want), psi
+    with pytest.raises(DomainError):
+        classify_series(LogDrift(1.0, 0.5), D2, [5, 100])
 
 
 def test_classify_heuristic_tabulated():

@@ -149,7 +149,10 @@ def test_convergents_are_the_exact2d_ladder():
         cf = cf_expand(alpha, 10_000)
         assert cf.truncated and cf.errors()[-1] == 0.0
         num, den = alpha.as_integer_ratio()
-        rungs = Exact2D.from_float(alpha)._ladder[0]
+        ex = Exact2D.from_float(alpha)
+        while ex._grow():
+            pass
+        rungs = ex._points
         assert rungs[1:] == [(q * num - p * den, q) for p, q in cf.convergents]
 
 

@@ -90,6 +90,10 @@ def test_cli_check_zero_matrix(tmp_path, capsys):
     assert data["uncovered"] == []
 
 
+# psi = 0.6/t at t = 2, 4, ..., 4096: the chords keep t psi <= 0.675 < 1
+_KNOTS_06 = ",".join(f"{2.0**k:g}:{0.6 / 2.0**k!r}" for k in range(1, 13))
+
+
 def test_cli_check_reduced_tabulated_psi(tmp_path):
     # the reduced psi keeps the last knot as its domain end, so the scan's
     # inversion cap stops there instead of evaluating past it
@@ -99,7 +103,7 @@ def test_cli_check_reduced_tabulated_psi(tmp_path):
             "--A", "0.3819660112501051",
             "--T", "1000",
             "--set", "psi.family=tabulated",
-            "--set", "psi.knots=2:0.3,50:0.015,500:0.0015,5000:0.00015",
+            "--set", f"psi.knots={_KNOTS_06}",
             *extra,
             "--out", str(tmp_path / sub),
         ]
@@ -109,6 +113,44 @@ def test_cli_check_reduced_tabulated_psi(tmp_path):
     plain = run("plain")
     reduced = run("reduced", "--set", "psi.reduce=true")
     assert reduced["uncovered"] == plain["uncovered"]
+
+
+def test_cli_check_rejects_tabulated_psi_above_one_over_t(tmp_path, capsys):
+    # psi(26) = 0.1575 on the first chord: t psi ~ 4.1, so F < 0 there
+    argv = [
+        "check",
+        "--A", "0.3819660112501051",
+        "--T", "1000",
+        "--set", "psi.family=tabulated",
+        "--set", "psi.knots=2:0.3,50:0.015,500:0.0015,5000:0.00015",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == 1
+    assert "below 1/t" in capsys.readouterr().err
+    assert not (tmp_path / "check.json").exists()
+
+
+@pytest.mark.parametrize("variant", ["upper", "lower"])
+def test_cli_orbit_series_validates_psi_within_its_domain(tmp_path, variant):
+    # psi = 0.9/t at t = 2 * 1.5^k up to ~3.4e4, less than the e^10 validation
+    # window from t0 = 2; the window stops at the last knot instead of
+    # evaluating past it (chords keep t psi <= 0.9 (1 + 1/24) < 1)
+    knots = ",".join(f"{2 * 1.5**k!r}:{0.9 / (2 * 1.5**k)!r}" for k in range(25))
+    argv = [
+        "orbit",
+        "--mode", "series",
+        "--variant", variant,
+        "--A", "0.3819660112501051",
+        "--k-min", "2",
+        "--k-max", "7",
+        "--set", "psi.family=tabulated",
+        "--set", f"psi.knots={knots}",
+        "--out", str(tmp_path),
+    ]
+    assert cli_main(argv) == 0
+    data = json.loads((tmp_path / "orbit.json").read_text())
+    assert (data["variant"], data["k_lo"], data["k_hi"]) == (variant, 2, 7)
+    assert data["warning"] is None and data["constants"]["C_r"] >= 4.0
 
 
 def test_cli_check_both_oracles(tmp_path, capsys):

@@ -40,6 +40,13 @@ def _fold(ex, q):
     return min(rem, ex.den - rem)
 
 
+def _full_ladder(ex):
+    """ex's rungs with the Euclid step run to N = 0."""
+    while ex._grow():
+        pass
+    return ex._points
+
+
 def test_ladder_records_exact():
     ex = Exact2D(3, 8)  # A = 3/8
     # dist(q * 3/8) over q = 1..8: 3/8 -> 3, 6/8 -> 2, 9/8 -> 1, 12/8 -> 4 ...
@@ -423,7 +430,7 @@ def test_delta_grid_with_huge_partial_quotient(num, den, rungs):
         assert repr(ex.delta_flowed(sigma)) == repr(want)
         # no point with a small q does better
         assert all(ex.flow_sup_log((_fold(ex, q), q), sigma) >= -want for q in range(1, 200))
-    assert ex._ladder[0] == rungs
+    assert _full_ladder(ex) == rungs
 
 
 def test_huge_partial_quotient_fresh_instance():
@@ -439,7 +446,7 @@ def test_thick_with_huge_partial_quotient():
 
 def test_box_basis_certificate():
     ex = Exact2D(12345, 1 << 16)
-    points = ex._ladder[0]
+    points = _full_ladder(ex)
     assert all(
         abs(n1 * q2 - q1 * n2) == ex.den for (n1, q1), (n2, q2) in zip(points, points[1:])
     )
@@ -451,7 +458,71 @@ def test_box_basis_certificate():
     assert want and sorted(ex._iter_box_points(2000, 2000)) == sorted(want)
     # a ladder doubled out of L_A spans covolume 4 den: no basis, so no answer
     bad = Exact2D(12345, 1 << 16)
-    points, log_n, log_q, keys = bad._ladder
-    bad._ladder = ([(2 * n, 2 * q) for n, q in points], log_n, log_q, keys)
+    bad._points[:] = [(2 * n, 2 * q) for n, q in _full_ladder(bad)]
     with pytest.raises(ValidationError):
         list(bad._iter_box_points(2000, 2000))
+
+
+def _ladder_queries(ex, rng):
+    """Delta, slab-box, window-box and record queries on ex, in a shuffled order."""
+    queries = [("delta", s) for s in (0.3, 2.0, 10.0, 10.0, 24.5, 41.0, 70.0, 130.0)]
+    # past den e^-sigma ~ 1 the slab box holds ~e^sigma points; stay short of it
+    queries += [("slab", s) for s in (1.0, 10.0, 0.25 * ex.log_den)]
+    queries += [("window", k) for k in (5.0, 12.0, 47.0)]
+    queries += [("records", T) for T in (1, 50, 10**9, 10**25, 10**80)]
+    rng.shuffle(queries)
+    return queries
+
+
+def _answer(ex, kind, x):
+    if kind == "delta":
+        return repr(ex.delta_flowed(x))
+    if kind == "slab":
+        return repr(ex.slab_points(x, 0.2))
+    if kind == "window":
+        return repr((ex.witness_intervals(x, 1.0, 0.1, True), ex.witness_intervals(x, 0.5, 0.1, False)))
+    return repr(_records_walk(ex, x))
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_ladder_answers_do_not_depend_on_call_history(bits):
+    # the rungs are only appended, so an instance queried in any order answers
+    # as fresh instances do, and holds a prefix of the full ladder
+    rng = substream(20, "ladder-history", bits)
+    for _ in range(6):
+        num, den = int(rng.integers(1, 2**53)), 2**53
+        if bits == 256:
+            num, den = int.from_bytes(rng.bytes(32), "little") | 1, 2**256
+        ex = Exact2D(num, den)
+        full = Exact2D(num, den)
+        _full_ladder(full)
+        for kind, x in _ladder_queries(ex, rng):
+            want = _answer(Exact2D(num, den), kind, x)
+            assert _answer(ex, kind, x) == want == _answer(full, kind, x), (num, kind, x)
+        k = len(ex._points)
+        for grown, whole in [
+            (ex._points, full._points),
+            (ex._log_n, full._log_n),
+            (ex._log_q, full._log_q),
+            (ex._keys, full._keys),
+        ]:
+            assert repr(grown) == repr(whole[:k])
+
+
+def test_ladder_grows_only_as_far_as_the_query_reads():
+    # log q_k grows like 1.19 k (Levy), so Delta at sigma = 10 reads ~9 of the
+    # ~31 rungs of a 53-bit A
+    rng = substream(21, "ladder-lazy", 0)
+    grown = full = 0
+    for a in [float(rng.random()) for _ in range(20)] + [0.6180339887498949]:
+        ex = Exact2D.from_float(a)
+        ex.delta_flowed(10.0)
+        k = len(ex._points)
+        whole = len(_full_ladder(Exact2D.from_float(a)))
+        assert k < whole, a
+        grown += k
+        full += whole
+        # a covered query grows nothing
+        ex.delta_flowed(9.0)
+        assert len(ex._points) == k
+    assert grown < full / 2, (grown, full)
