@@ -21,6 +21,7 @@ from .approx import PsiFunction
 from .dirichlet import psi_inverse
 from .errors import ValidationError
 from .exact2d import partial_quotients
+from .lattice import strictly_less
 
 
 @dataclass
@@ -105,7 +106,7 @@ def cf_is_psi_dirichlet(
             continue
         bound = float(psi.psi(q_next))
         err = errs[k]
-        if err < bound - 1e-12 * max(1.0, bound):
+        if strictly_less(err, bound):
             continue
         verdict.failures.append(k)
         q_k = cf.convergents[k][1]

@@ -25,6 +25,7 @@ from .cf import cf_uncovered_intervals
 from .config import ExperimentConfig
 from .dirichlet import psi_dirichlet_scan
 from .errors import BudgetError, DirichletLabError, ValidationError
+from .exact2d import Exact2D
 from .experiments import (
     cross_validate_dani,
     dani_table,
@@ -34,7 +35,7 @@ from .experiments import (
 )
 from .mc import fit_scaling, measure_profile
 from .parallel import indexed_map
-from .rate import dani_rate, dani_time, s0_of
+from .rate import dani_row, s0_of
 from .reports import write_csv, write_json, write_plot_data, write_run_manifest
 from .rng import sample_torus, substream
 from .targets import KIND_PRIMED, KIND_SUB
@@ -179,7 +180,7 @@ def _run_dani(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
     rows = []
     s = s0
     while s <= s_max + 1e-12:
-        rows.append((s, dani_rate(psi, dims, s), dani_time(psi, dims, s)))
+        rows.append(dani_row(psi, dims, s))
         s += s_step
     files.append(write_csv(outdir / "dani.csv", ["s", "r", "t"], rows))
     print(f"emitted {len(rows)} (s, r, t) rows from s0={s0!r}")
@@ -206,8 +207,8 @@ def _run_check(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
             raise ValidationError("the cf oracle needs m = n = 1")
         if classic:
             raise ValidationError("the cf oracle needs an explicit psi")
-        alpha = float(A.reshape(()))
-        cf_intervals = cf_uncovered_intervals(alpha, psi, T)
+        ex = Exact2D.of(A)
+        cf_intervals = cf_uncovered_intervals(ex.num / ex.den, psi, T)
         result["cf_uncovered"] = cf_intervals
         result["cf_passes"] = not cf_intervals
         if oracle == "both":

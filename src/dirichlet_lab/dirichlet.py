@@ -11,7 +11,9 @@ uncovered complement of (t_start, T].
 
 Only "record" pairs matter: a q whose error is not a strict running
 minimum in order of increasing ||q||_beta is subsumed by an earlier one.
-Three record-finding backends share the sweep:
+One dispatcher, _records, finds them for the scan and dirichlet_solvable
+alike: A goes through Exact2D.of at m = n = 1 and must be (m, n)
+otherwise, and one of three backends runs:
 
   * dense      -- m = n = 1, power-of-two denominator, T moderate: exact
                   integer distances vectorized over all q (uint64 wraparound
@@ -34,8 +36,8 @@ import numpy as np
 
 from .approx import PsiFunction
 from .errors import BudgetExceeded, ValidationError
-from .exact2d import Exact2D
-from .lattice import WeightPair
+from .exact2d import Exact2D, log_int
+from .lattice import WeightPair, boundary_tol, strictly_less
 
 _DENSE_LIMIT = 2_000_000
 _CHUNK = 1 << 22
@@ -110,7 +112,7 @@ def _records_dense(num: int, den_exp: int, T: int):
     den_i = 1 << den_exp
     num %= den_i
     if num == 0:
-        return [(1, 0)]
+        return [(1, 0)] if T >= 1 else []
     mask = np.uint64(den_i - 1)
     # den - w in uint64; den = 2^64 wraps to 0, and 0 - w wraps to 2^64 - w
     den_w = np.uint64(den_i & 0xFFFFFFFFFFFFFFFF)
@@ -164,44 +166,22 @@ def _records_walk(ex: Exact2D, T: int):
     return records
 
 
-def _scalar_records(A: float | tuple, T: int):
-    """(q, err) strict records for scalar A given as float or (num, den)."""
-    if isinstance(A, tuple):
-        num, den = int(A[0]), int(A[1])
-    else:
-        num, den = float(A).as_integer_ratio()
-        if num < 0:
-            num %= den
-    den_exp = den.bit_length() - 1
-    pow2 = den == (1 << den_exp)
-    if pow2 and den_exp <= 64 and T <= _DENSE_LIMIT:
-        int_records = _records_dense(num, den_exp, T)
-    else:
-        int_records = _records_walk(Exact2D(num, den), T)
-    return [(float(q), _ratio(nv, den)) for q, nv in int_records]
-
-
 def _ratio(n: int, den: int) -> float:
     if n == 0:
         return 0.0
     if n < 2**53 and den < 2**53:
         return n / den
-    from .exact2d import log_int
-
     return math.exp(log_int(n) - log_int(den))
 
 
 def _int_strictly_below(t: float) -> int:
     """Largest integer q with q < t under the boundary tolerance policy."""
-    tol = 1e-12 * max(1.0, abs(t))
-    return int(math.ceil(t - tol)) - 1
+    return int(math.ceil(t - boundary_tol(t))) - 1
 
 
 def _q_box_records(A: np.ndarray, T: float, w: WeightPair, budget: int):
-    """Pareto records ((q_norm, err)) over the q-box for general (m, n)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    m, n = A.shape
-    bounds = [max(_int_strictly_below(T ** w.beta[j]), 0) for j in range(n)]
+    """Pareto records ((q_norm, err)) over the q-box for an (m, n) float array A."""
+    bounds = [max(_int_strictly_below(T ** w.beta[j]), 0) for j in range(w.n)]
     count = 1
     for b in bounds:
         count *= 2 * b + 1
@@ -214,7 +194,7 @@ def _q_box_records(A: np.ndarray, T: float, w: WeightPair, budget: int):
     Q = Q[:, Q.shape[1] // 2 + 1 :]
     beta = np.array(w.beta)
     qnorm = np.max(np.abs(Q) ** (1.0 / beta[:, None]), axis=0)
-    keep = qnorm < T - 1e-12 * max(1.0, T)
+    keep = strictly_less(qnorm, T)
     Q = Q[:, keep]
     qnorm = qnorm[keep]
     X = A @ Q
@@ -230,6 +210,26 @@ def _q_box_records(A: np.ndarray, T: float, w: WeightPair, budget: int):
             best = e
             records.append((float(qnorm[idx]), e))
     return records, int(Q.shape[1])
+
+
+def _records(A, T: float, w: WeightPair, budget: int):
+    """(records, q_considered) over 0 < ||q||_beta < T: the one backend choice.
+
+    At m = n = 1 the records are exact (dense for a power-of-two denominator
+    within _DENSE_LIMIT, else the ladder); elsewhere A must be (m, n)."""
+    if w.m == 1 and w.n == 1:
+        ex = Exact2D.of(A)
+        q_hi = _int_strictly_below(T)
+        den_exp = ex.den.bit_length() - 1
+        if ex.den == 1 << den_exp and den_exp <= 64 and q_hi <= _DENSE_LIMIT:
+            int_records = _records_dense(ex.num, den_exp, q_hi)
+        else:
+            int_records = _records_walk(ex, q_hi)
+        return [(float(q), _ratio(nv, ex.den)) for q, nv in int_records], q_hi
+    A = np.asarray(A, dtype=float)
+    if A.shape != (w.m, w.n):
+        raise ValidationError(f"A has shape {A.shape}, dims need ({w.m}, {w.n})")
+    return _q_box_records(A, T, w, budget)
 
 
 def psi_dirichlet_scan(
@@ -258,15 +258,7 @@ def psi_dirichlet_scan(
     if T <= t_start:
         raise ValidationError("T must exceed t_start")
 
-    scalar = w.m == 1 and w.n == 1
-    if scalar:
-        a_val = A if isinstance(A, tuple) else float(np.asarray(A).reshape(()))
-        q_hi = _int_strictly_below(T)
-        records = _scalar_records(a_val, q_hi)
-        considered = q_hi
-    else:
-        records, considered = _q_box_records(A, T, w, budget)
-
+    records, considered = _records(A, T, w, budget)
     t_cap = 10.0 * T
     intervals = []
     for qn, err in records:
@@ -317,18 +309,8 @@ def dirichlet_solvable(
     if t <= 1.0:
         raise ValidationError("t must exceed 1")
 
-    if w.m == 1 and w.n == 1:
-        a_val = A if isinstance(A, tuple) else float(np.asarray(A).reshape(()))
-        records = _scalar_records(a_val, max(_int_strictly_below(t), 1))
-        err = min(e for _, e in records)
-        if classic_mode:
-            return err <= bound * (1 + 1e-12)
-        return err < bound - 1e-12 * max(1.0, bound)
-
-    records, _ = _q_box_records(A, t, w, budget)
-    if not records:
-        return False
-    err = min(e for _, e in records)
+    records, _ = _records(A, t, w, budget)
+    err = min((e for _, e in records), default=math.inf)
     if classic_mode:
         return err <= bound * (1 + 1e-12)
-    return err < bound - 1e-12 * max(1.0, bound)
+    return bool(strictly_less(err, bound))

@@ -36,7 +36,10 @@ the full ladder and does not depend on call history.
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_left
+
+import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
 from .lattice import WeightPair
@@ -101,8 +104,25 @@ class Exact2D:
         self._quotients = partial_quotients(self.num, self.den)
 
     @classmethod
-    def from_float(cls, a: float) -> "Exact2D":
-        num, den = float(a).as_integer_ratio()
+    def of(cls, A) -> "Exact2D":
+        """The one door from a scalar A to exact integers: an Exact2D (as is), a
+        (num, den) pair of ints, a finite float at its exact binary value (or
+        any number with as_integer_ratio), or a size-1 array holding one."""
+        if isinstance(A, np.ndarray):
+            if A.size != 1:
+                raise ValidationError(f"a scalar A needs one entry, got shape {A.shape}")
+            A = A.item()
+        elif isinstance(A, cls):
+            return A
+        elif isinstance(A, tuple):
+            try:
+                return cls(*map(operator.index, A))
+            except TypeError as exc:
+                raise ValidationError(f"(num, den) must be two integers, got {A!r}") from exc
+        try:
+            num, den = A.as_integer_ratio()
+        except (AttributeError, ValueError, OverflowError) as exc:
+            raise ValidationError(f"A must be a finite real number, got {A!r}") from exc
         return cls(num, den)
 
     # -- the convergent ladder ---------------------------------------------

@@ -26,7 +26,7 @@ from .exact2d import Exact2D
 from .lattice import UnimodularLattice, WeightPair, apply_flow, lattice_from_matrix
 from .mc import CoordinateRegion, sample_region_lattice
 from .parallel import indexed_map
-from .rate import RateFunction, dani_rate, dani_time, s0_of
+from .rate import RateFunction, dani_row, s0_of
 from .rng import sample_torus_fixedpoint, substream
 from .targets import (
     _WINDOWS,
@@ -110,11 +110,7 @@ def orbit_hit_series(
     window = _WINDOWS[kind]
     hits = np.zeros(k_hi - k_lo + 1, dtype=bool)
     if scalar:
-        if isinstance(A, tuple):
-            num, den = int(A[0]), int(A[1])
-        else:
-            num, den = float(np.asarray(A).reshape(())).as_integer_ratio()
-        ex = Exact2D(num, den)
+        ex = Exact2D.of(A)
         for idx, k in enumerate(range(k_lo, k_hi + 1)):
             hits[idx] = ex.hits_thick(float(k), window, float(radii[idx]), primed)
     else:
@@ -309,10 +305,7 @@ def dani_table(psi: PsiFunction, dims: DimensionParams, S: float, s_step: float 
     if S <= s0 + s_step:
         raise ValidationError("horizon S must exceed s0 by at least one step")
     grid = np.arange(s0, S + 1e-12, s_step)
-    return [
-        (float(s), dani_rate(psi, dims, float(s)), dani_time(psi, dims, float(s)))
-        for s in grid
-    ]
+    return [dani_row(psi, dims, float(s)) for s in grid]
 
 
 def cross_validate_dani(
@@ -334,11 +327,7 @@ def cross_validate_dani(
     """
     if (dims.m, dims.n) != (1, 1):
         raise ValidationError("cross-validation is implemented for m = n = 1")
-    if isinstance(A, tuple):
-        num, den = int(A[0]), int(A[1])
-    else:
-        num, den = float(np.asarray(A).reshape(())).as_integer_ratio()
-    ex = Exact2D(num, den)
+    ex = Exact2D.of(A)
     if rate_table is None:
         rate_table = dani_table(psi, dims, S, s_step)
     s0 = rate_table[0][0]
@@ -346,7 +335,7 @@ def cross_validate_dani(
     rows = [(s, ex.delta_flowed(s), r_val, t_val) for s, r_val, t_val in rate_table]
     t_start = rows[0][3]
     T = rows[-1][3]
-    scan = psi_dirichlet_scan((num, den), psi, T, w, t_start=t_start)
+    scan = psi_dirichlet_scan(ex, psi, T, w, t_start=t_start)
     report = CrossvalReport(
         S=S, s0=s0, t_start=t_start, T=T, uncovered=scan.uncovered, grid=rows
     )

@@ -110,8 +110,7 @@ def measure_profile(
     for i in range(N):
         A = sample_torus(substream(seed, label, i), dims.m, dims.n)
         if scalar:
-            ex = Exact2D.from_float(float(A[0, 0]))
-            hits = ex.membership_profile(s_push, kinds, r_values)
+            hits = Exact2D.of(A).membership_profile(s_push, kinds, r_values)
         else:
             L = apply_flow(lattice_from_matrix(A, dims), s_push, w)
             hits = membership_profile(L, kinds, r_values, w)
@@ -376,12 +375,10 @@ def pair_correlation(
     window = _WINDOWS[KIND_THICK_PRIMED]
     c_i = c_j = c_ij = 0
     for idx in range(N):
-        a1 = float(sample_torus(substream(seed, label, idx), 1, 1)[0, 0])
-        ex1 = Exact2D.from_float(a1)
+        ex1 = Exact2D.of(sample_torus(substream(seed, label, idx), 1, 1))
         h_i = ex1.hits_thick(float(i), window, r_i, primed=True)
         if independent:
-            a2 = float(sample_torus(substream(seed, label + "-indep", idx), 1, 1)[0, 0])
-            ex2 = Exact2D.from_float(a2)
+            ex2 = Exact2D.of(sample_torus(substream(seed, label + "-indep", idx), 1, 1))
         else:
             ex2 = ex1
         h_j = ex2.hits_thick(float(j), window, r_j, primed=True)

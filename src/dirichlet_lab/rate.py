@@ -72,10 +72,15 @@ def dani_rate(psi: PsiFunction, dims: DimensionParams, s: float) -> float:
     return r
 
 
+def dani_row(psi: PsiFunction, dims: DimensionParams, s: float) -> tuple:
+    """(s, r(s), t(s)) with t(s) = e^{s - n r(s)}, from one inversion of t -> s."""
+    r = dani_rate(psi, dims, s)
+    return s, r, math.exp(s - dims.n * r)
+
+
 def dani_time(psi: PsiFunction, dims: DimensionParams, s: float) -> float:
     """t(s) = e^{s - n r(s)}."""
-    r = dani_rate(psi, dims, s)
-    return math.exp(s - dims.n * r)
+    return dani_row(psi, dims, s)[2]
 
 
 @dataclass(frozen=True)

@@ -149,7 +149,7 @@ def test_convergents_are_the_exact2d_ladder():
         cf = cf_expand(alpha, 10_000)
         assert cf.truncated and cf.errors()[-1] == 0.0
         num, den = alpha.as_integer_ratio()
-        ex = Exact2D.from_float(alpha)
+        ex = Exact2D.of(alpha)
         while ex._grow():
             pass
         rungs = ex._points

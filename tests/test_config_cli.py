@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from dirichlet_lab import rate
 from dirichlet_lab.cli import _build_parser, cli_main
 from dirichlet_lab.config import ExperimentConfig
 from dirichlet_lab.errors import ValidationError
@@ -170,6 +171,33 @@ def test_cli_check_both_oracles(tmp_path, capsys):
     data = json.loads((tmp_path / "check.json").read_text())
     assert data["oracles_agree"] is True
     assert data["passes"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "--A", "0.1 0.2"],
+        ["orbit", "--mode", "series", "--A", "0.1 0.2"],
+        ["check", "--set", "dims.m=2", "--A", "0.1 0.2"],
+        ["check", "--classic", "--set", "dims.n=3", "--A", "0.1 0.2"],
+        ["check", "--oracle", "cf", "--A", "0.1 0.2"],
+    ],
+)
+def test_cli_rejects_an_A_that_does_not_fit_dims(tmp_path, capsys, argv):
+    psi = ["--set", "psi.family=constant_ratio", "--set", "psi.params=0.6"]
+    assert cli_main([*argv, *psi, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "shape" in err, err
+
+
+def test_cli_dani_inverts_each_row_once(tmp_path, monkeypatch):
+    calls = []
+    invert = rate._invert_time
+    monkeypatch.setattr(rate, "_invert_time", lambda *args: calls.append(args) or invert(*args))
+    argv = ["dani", "--s-max", "12", "--set", "psi.family=constant_ratio", "--set", "psi.params=0.6"]
+    assert cli_main([*argv, "--out", str(tmp_path)]) == 0
+    rows = (tmp_path / "dani.csv").read_text().splitlines()[1:]
+    assert len(calls) == len(rows) > 10
 
 
 def test_cli_disjoint_guard_exit_code(tmp_path, capsys):

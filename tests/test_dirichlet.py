@@ -9,9 +9,9 @@ from dirichlet_lab.dirichlet import (
     _DENSE_LIMIT,
     _int_strictly_below,
     _q_box_records,
+    _records,
     _records_dense,
     _records_walk,
-    _scalar_records,
     dirichlet_solvable,
     psi_dirichlet_scan,
     psi_inverse,
@@ -56,6 +56,11 @@ def test_records_dense_vs_walk():
         dense = _records_dense(num, den_exp, T)
         walk = _records_walk(Exact2D(num, den), T)
         assert dense == walk
+    # T = 0 admits no q and T = 1 only q = 1, whatever the backend
+    for num, den in ((0, 1), (0, 8), (3, 8), (1, 2**64)):
+        den_exp = den.bit_length() - 1
+        for T in (0, 1):
+            assert _records_dense(num, den_exp, T) == _records_walk(Exact2D(num, den), T), (num, T)
 
 
 def _fold(ex, q):
@@ -164,11 +169,22 @@ def test_records_dense_allocates_for_its_horizon():
 def test_records_walk_large_horizon():
     # straddle the dense backend limit: both must agree on a common range
     a = float(substream(31, "recs", 1).random())
-    r_small = _scalar_records(a, 2_000_000)  # dense
-    r_big = _scalar_records(a, 2_000_001)  # walk
+    r_small, q_small = _records(a, 2_000_001.0, W11, 0)  # dense, q <= 2_000_000
+    r_big, q_big = _records(a, 2_000_002.0, W11, 0)  # walk, q <= 2_000_001
+    assert (q_small, q_big) == (_DENSE_LIMIT, _DENSE_LIMIT + 1)
     common_small = [rec for rec in r_small if rec[0] <= 2_000_000]
     common_big = [rec for rec in r_big if rec[0] <= 2_000_000]
     assert common_small == common_big
+
+
+def test_solvable_is_strict_in_q_on_every_path():
+    # just above t = 1 no q satisfies ||q|| < t under the tolerance policy, so
+    # nothing is solvable, at m = n = 1 as on the general path
+    t = 1 + 5e-13
+    assert not dirichlet_solvable(0.5, None, t, W11, classic_mode=True)
+    w21 = WeightPair.unweighted(2, 1)
+    assert not dirichlet_solvable(np.array([[0.5], [0.5]]), None, t, w21, classic_mode=True)
+    assert dirichlet_solvable(0.5, None, 2.5, W11, classic_mode=True)
 
 
 def test_classic_mode_dirichlet_theorem_scalar():

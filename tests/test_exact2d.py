@@ -34,6 +34,41 @@ def test_log_int_small_and_huge():
     assert log_int(n) == pytest.approx(500 * math.log(3.0), rel=1e-14)
 
 
+def test_of_reads_every_scalar_form_exactly():
+    a = float(substream(22, "of", 0).random())
+    num, den = a.as_integer_ratio()
+    ex = Exact2D.of(a)
+    assert (ex.num, ex.den) == (num, den)
+    for form in (np.float64(a), np.array([[a]]), np.array(a), (num, den), (np.int64(num), den)):
+        got = Exact2D.of(form)
+        assert (got.num, got.den) == (num, den), form
+    assert Exact2D.of(ex) is ex
+    neg = Exact2D.of(-0.25)
+    assert (neg.num, neg.den) == (3, 4)
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        np.array([[0.1, 0.2]]),
+        np.zeros(0),
+        (1, 2, 3),
+        (1, 2.0),
+        (1, 0),
+        (1, -4),
+        math.nan,
+        math.inf,
+        "0.5",
+        None,
+        [0.5],
+        1j,
+    ],
+)
+def test_of_rejects_everything_else(bad):
+    with pytest.raises(ValidationError):
+        Exact2D.of(bad)
+
+
 def _fold(ex, q):
     """min_p |q num - p den|: the integer distance den * dist(qA, Z), by brute force."""
     rem = (q * ex.num) % ex.den
@@ -59,7 +94,7 @@ def test_delta_flowed_matches_float_path():
     rng = substream(10, "x2d", 0)
     for i in range(40):
         a = float(rng.random())
-        ex = Exact2D.from_float(a)
+        ex = Exact2D.of(a)
         sigma = float(rng.uniform(0.0, 8.0))
         L = apply_flow(lattice_from_matrix([[a]]), sigma, W11)
         assert ex.delta_flowed(sigma) == pytest.approx(delta(L), abs=1e-9)
@@ -76,7 +111,7 @@ def test_sub_and_primed_match_float_path():
     agree = 0
     for i in range(60):
         a = float(rng.random())
-        ex = Exact2D.from_float(a)
+        ex = Exact2D.of(a)
         sigma = float(rng.uniform(0.0, 5.0))
         r = float(rng.uniform(0.05, 0.6))
         L = apply_flow(lattice_from_matrix([[a]]), sigma, W11)
@@ -94,7 +129,7 @@ def test_thick_membership_matches_float_path():
     checked = 0
     for i in range(50):
         a = float(rng.random())
-        ex = Exact2D.from_float(a)
+        ex = Exact2D.of(a)
         k = float(rng.uniform(0.0, 4.0))
         r = float(rng.uniform(0.05, 0.5))
         L = apply_flow(lattice_from_matrix([[a]]), k, W11)
@@ -157,7 +192,7 @@ def test_membership_profile_matches_single_queries():
 def test_membership_profile_skips_slab_when_delta_exceeds_every_r():
     # A = 0.3 (55-bit den) at sigma = 50: the slab box holds ~e^50 / den
     # points, past the enumeration cap, while Delta = 12.57 answers everything
-    ex = Exact2D.from_float(0.3)
+    ex = Exact2D.of(0.3)
     assert ex.delta_flowed(50.0) > 12.0
     profile = ex.membership_profile(50.0, [KIND_SUB, KIND_PRIMED], [0.05, 0.2])
     assert not any(profile.values())
@@ -515,10 +550,10 @@ def test_ladder_grows_only_as_far_as_the_query_reads():
     rng = substream(21, "ladder-lazy", 0)
     grown = full = 0
     for a in [float(rng.random()) for _ in range(20)] + [0.6180339887498949]:
-        ex = Exact2D.from_float(a)
+        ex = Exact2D.of(a)
         ex.delta_flowed(10.0)
         k = len(ex._points)
-        whole = len(_full_ladder(Exact2D.from_float(a)))
+        whole = len(_full_ladder(Exact2D.of(a)))
         assert k < whole, a
         grown += k
         full += whole

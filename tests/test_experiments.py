@@ -12,13 +12,16 @@ from dirichlet_lab.experiments import (
     ContrastReport,
     construct_primed_lattice,
     cross_validate_dani,
+    dani_table,
     empirical_zero_one,
     ensemble_bits,
     orbit_hit_series,
     verify_disjointness,
 )
+from dirichlet_lab import rate
+from dirichlet_lab.exact2d import Exact2D
 from dirichlet_lab.lattice import WeightPair
-from dirichlet_lab.rate import RateFunction
+from dirichlet_lab.rate import RateFunction, dani_rate, dani_time, s0_of
 from dirichlet_lab.rng import substream
 from dirichlet_lab.targets import KIND_PRIMED, TargetSpec, in_target
 
@@ -131,6 +134,36 @@ def test_crossval_random_ensemble_consistent():
         a = float(rng.random())
         rep = cross_validate_dani(a, psi, D11, W11, S=12.0)
         assert rep.consistent, rep.counterexamples
+
+
+def test_crossval_grows_one_ladder_per_A(monkeypatch):
+    # T = t(16) is past the dense backend's limit, so the scan reads the ladder
+    # that the Delta grid already grew
+    made = []
+    init = Exact2D.__init__
+
+    def counting_init(self, num, den):
+        made.append((num, den))
+        init(self, num, den)
+
+    monkeypatch.setattr(Exact2D, "__init__", counting_init)
+    psi = MaxWithHalf(LogDrift(1.0, 0.5, t0=math.exp(4.0)))
+    a = float(substream(81, "crossval", 2).random())
+    rep = cross_validate_dani(a, psi, D11, W11, S=16.0)
+    assert rep.T > 2e6
+    assert made == [a.as_integer_ratio()]
+
+
+def test_dani_table_inverts_each_row_once(monkeypatch):
+    psi = MaxWithHalf(LogDrift(1.0, 0.5, t0=math.exp(4.0)))
+    grid = np.arange(s0_of(psi, D11), 20.0 + 1e-12, 0.05)
+    want = [(float(s), dani_rate(psi, D11, float(s)), dani_time(psi, D11, float(s))) for s in grid]
+    calls = []
+    invert = rate._invert_time
+    monkeypatch.setattr(rate, "_invert_time", lambda *args: calls.append(args) or invert(*args))
+    rows = dani_table(psi, D11, 20.0)
+    assert rows == want
+    assert len(calls) == len(rows)
 
 
 def test_crossval_grid_refinement_stability():
