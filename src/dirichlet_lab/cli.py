@@ -35,7 +35,7 @@ from .experiments import (
 )
 from .mc import fit_scaling, measure_profile
 from .parallel import indexed_map
-from .rate import dani_row, s0_of
+from .rate import s0_of
 from .reports import write_csv, write_json, write_plot_data, write_run_manifest
 from .rng import sample_torus, substream
 from .targets import KIND_PRIMED, KIND_SUB
@@ -176,12 +176,7 @@ def _run_dani(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
     dims = cfg.dims()
     s0 = s0_of(psi, dims)
     s_max = cfg.get_float("dani.s_max", s0 + 10.0)
-    s_step = cfg.get_float("dani.s_step", 0.25)
-    rows = []
-    s = s0
-    while s <= s_max + 1e-12:
-        rows.append(dani_row(psi, dims, s))
-        s += s_step
+    rows = dani_table(psi, dims, s_max, cfg.get_float("dani.s_step", 0.25))
     files.append(write_csv(outdir / "dani.csv", ["s", "r", "t"], rows))
     print(f"emitted {len(rows)} (s, r, t) rows from s0={s0!r}")
     return 0

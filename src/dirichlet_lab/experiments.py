@@ -23,7 +23,13 @@ from .approx import DimensionParams, PsiFunction
 from .dirichlet import psi_dirichlet_scan
 from .errors import BudgetExceeded, ConstructionError, ValidationError
 from .exact2d import Exact2D
-from .lattice import UnimodularLattice, WeightPair, apply_flow, lattice_from_matrix
+from .lattice import (
+    UnimodularLattice,
+    WeightPair,
+    apply_flow,
+    lattice_from_matrix,
+    reduce_lattices,
+)
 from .mc import CoordinateRegion, sample_region_lattice
 from .parallel import indexed_map
 from .rate import RateFunction, dani_row, s0_of
@@ -119,9 +125,10 @@ def orbit_hit_series(
                 f"float-basis orbits are only exact up to flow time {FLOAT_FLOW_HORIZON}"
             )
         L = lattice_from_matrix(np.asarray(A, dtype=float), w.dims)
-        for idx, k in enumerate(range(k_lo, k_hi + 1)):
-            spec = TargetSpec(kind, float(radii[idx]), w)
-            hits[idx] = in_target(apply_flow(L, float(k), w), spec)
+        flowed = [apply_flow(L, float(k), w) for k in range(k_lo, k_hi + 1)]
+        reduce_lattices(flowed)
+        for idx, Lk in enumerate(flowed):
+            hits[idx] = in_target(Lk, TargetSpec(kind, float(radii[idx]), w))
     constants = {"C_r": C_r, "omega1": w.omega1, "omega2": w.omega2, "a": a}
     return HitSeries(
         variant=variant,
@@ -273,8 +280,10 @@ def verify_disjointness(
         base = construct_primed_lattice(r, dims, c0=c0, rng=rng)
         u = float(rng.uniform(0.0, 0.5))
         member = apply_flow(base, -u, w)  # lies in the thickened primed set
-        for k in range(1, J + 1):
-            if in_target(apply_flow(member, float(k), w), spec):
+        flowed = [apply_flow(member, float(k), w) for k in range(1, J + 1)]
+        reduce_lattices(flowed)
+        for k, Lk in enumerate(flowed, start=1):
+            if in_target(Lk, spec):
                 from .reports import basis_rows
 
                 report.violations.append(
@@ -301,6 +310,8 @@ class CrossvalReport:
 
 def dani_table(psi: PsiFunction, dims: DimensionParams, S: float, s_step: float = 0.05):
     """Shared (s, r(s), t(s)) grid rows; ensembles reuse one table."""
+    if not s_step > 0.0:
+        raise ValidationError("s_step must be positive")
     s0 = s0_of(psi, dims)
     if S <= s0 + s_step:
         raise ValidationError("horizon S must exceed s0 by at least one step")

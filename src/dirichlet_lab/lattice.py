@@ -3,7 +3,8 @@
 A lattice is stored as a d x d basis matrix with |det| = 1 (columns are
 basis vectors).  Enumeration of lattice points in an axis-aligned box is
 exact for d <= 6: the basis is LLL-reduced (once per lattice object; the
-reduction and its QR data are cached on it), and the coefficient vectors
+reduction and its QR data are cached on it, or seeded for a whole list of
+lattices by one lockstep LLL), and the coefficient vectors
 inside the box's circumscribed ball are walked depth-first from the QR
 data with per-level interval pruning down to level 1.  The innermost level
 is not walked: its coefficient ranges are collected and expanded, tested,
@@ -26,6 +27,7 @@ import numpy as np
 
 from .approx import DimensionParams
 from .errors import (
+    BudgetExceeded,
     CapExceeded,
     DimensionTooLarge,
     DomainError,
@@ -34,7 +36,7 @@ from .errors import (
 
 MAX_EXACT_DIM = 6
 _DET_TOL = 1e-9
-# LLL loop iterations before lll_reduce gives up and raises CapExceeded
+# LLL loop iterations on any one basis before lll_reduce_batch raises CapExceeded
 LLL_MAX_ITERATIONS = 10_000
 # most candidate coefficient rows _enumerate_ball expands and tests at once
 _BLOCK_ROWS = 4096
@@ -152,8 +154,22 @@ class UnimodularLattice:
 
     @cached_property
     def reduced(self) -> "ReducedBasis":
-        """LLL basis and its QR data, computed once per lattice on first use."""
-        return ReducedBasis.of(lll_reduce(self.basis))
+        """LLL basis and its QR data, computed once per lattice on first use
+        unless `reduce_lattices` seeded it."""
+        return ReducedBasis.stack(lll_reduce(self.basis)[None])[0]
+
+
+def reduce_lattices(lattices) -> None:
+    """Seed `reduced` on every lattice of a list from one lockstep LLL.
+
+    Each lattice caches exactly what its first use of `reduced` would
+    compute: the batch LLL and the stacked QR are bit-equal to their
+    per-matrix forms.
+    """
+    if lattices:
+        B = lll_reduce_batch(np.stack([L.basis for L in lattices]))
+        for L, R in zip(lattices, ReducedBasis.stack(B)):
+            L.__dict__["reduced"] = R  # where cached_property keeps its value
 
 
 @dataclass(frozen=True)
@@ -170,14 +186,24 @@ class ReducedBasis:
     signs: np.ndarray
 
     @classmethod
-    def of(cls, B: np.ndarray) -> "ReducedBasis":
+    def stack(cls, B: np.ndarray) -> list:
+        """One ReducedBasis per LLL basis of an (N, d, d) stack.
+
+        A stacked np.linalg.qr is bit-equal to per-matrix calls.  Raises
+        BudgetExceeded when a reduced basis has drifted off |det| = 1: the
+        float LLL ran out of precision and no longer spans the lattice.
+        """
+        det = np.abs(np.linalg.det(B))
+        drift = np.abs(det - 1.0) > _DET_TOL * np.maximum(1.0, det)
+        if drift.any():
+            raise BudgetExceeded(f"LLL basis has |det| = {det[drift][0]}, not 1 within 1e-9")
         Q, T = np.linalg.qr(B)
-        signs = np.sign(np.diag(T))
+        signs = np.sign(np.diagonal(T, axis1=1, axis2=2))
         signs[signs == 0] = 1.0
-        T = signs[:, None] * T
+        T = signs[:, :, None] * T
         for array in (B, Q, T, signs):
             array.setflags(write=False)  # shared by every query on the lattice
-        return cls(B, Q, T, signs)
+        return [cls(*parts) for parts in zip(B, Q, T, signs)]
 
 
 def standard_lattice(dims: DimensionParams) -> UnimodularLattice:
@@ -301,55 +327,114 @@ def r_box(r: float, d: int) -> Box:
 
 
 def lll_reduce(basis: np.ndarray, delta: float = 0.99) -> np.ndarray:
-    """Float LLL on columns (d <= 6), with Gram-Schmidt kept up to date lazily.
+    """Float LLL on the columns of one basis: the N = 1 form of lll_reduce_batch."""
+    return lll_reduce_batch(np.asarray(basis, dtype=float)[None], delta)[0]
 
-    Row i of (Q, mu, norms) depends only on columns 0..i, so a
-    size-reduction of column k recomputes row k, a swap rows k-1 and k, and
-    advancing k computes row k+1; rows past k are never read.  Each row is
-    evaluated exactly as a full recomputation would evaluate it, so the
-    result is bit-identical to recomputing all d rows after every change.
-    Raises CapExceeded after LLL_MAX_ITERATIONS passes of the main loop.
+
+def lll_reduce_batch(bases: np.ndarray, delta: float = 0.99) -> np.ndarray:
+    """Float LLL on every basis of an (N, d, d) stack (columns are basis vectors, d <= 6).
+
+    The bases run in lockstep: one pass makes one iteration of the LLL main
+    loop for every basis not yet reduced.  Each basis keeps its own k, and
+    the bases that share a k value are advanced together.  Gram-Schmidt is
+    kept up to date lazily: row i of (Q, mu, norms) depends only on columns
+    0..i, so a size-reduction of column k recomputes row k, a swap rows k-1
+    and k, and advancing k computes row k+1; rows past k are never read.
+    Every dot product is x0*y0 + x1*y1 + ... summed in that order, with no
+    np.dot or matmul, so no decision depends on the CPU's fma or SIMD path,
+    and basis i of the result equals the reduction of basis i alone.
+    Raises CapExceeded when some basis needs more than LLL_MAX_ITERATIONS
+    iterations; a partly reduced stack is never returned.
     """
-    B = np.array(basis, dtype=float)
-    d = B.shape[1]
+    B = np.array(bases, dtype=float)
+    if B.ndim != 3:
+        raise ValidationError("bases must be an (N, rows, columns) stack")
+    B = B.transpose(0, 2, 1).copy()  # B[n, i] is column i of basis n
+    N, d, coords = B.shape
     Q = np.zeros_like(B)
-    mu = np.zeros((d, d))
-    norms = np.zeros(d)
+    mu = np.zeros((N, d, d))
+    norms = np.zeros((N, d))
+    K = np.ones(N, dtype=np.intp)
+    every = slice(None)
 
-    def gso_row(i):
-        v = B[:, i].copy()
-        for j in range(i):
-            if norms[j] > 0:
-                mu[i, j] = np.dot(B[:, i], Q[:, j]) / norms[j]
-                v -= mu[i, j] * Q[:, j]
-            else:
-                mu[i, j] = 0.0
-        Q[:, i] = v
-        norms[i] = np.dot(v, v)
+    def dot(x, y):
+        # x . y over the last axis, summed in coordinate order
+        p = x * y
+        acc = p[..., 0]
+        for t in range(1, coords):
+            acc = acc + p[..., t]
+        return acc
 
-    for i in range(min(2, d)):
-        gso_row(i)
-    k = 1
-    iterations = 0
-    while k < d:
-        iterations += 1
-        if iterations > LLL_MAX_ITERATIONS:
-            raise CapExceeded(f"LLL did not converge in {LLL_MAX_ITERATIONS} iterations")
+    def gso_row(rows, i):
+        # mu[i, j] = b_i . q_j / |q_j|^2 for every j < i at once (0 where
+        # |q_j| = 0), then q_i = b_i - mu[i, 0] q_0 - mu[i, 1] q_1 - ...
+        b = B[rows, i]
+        v = b
+        if i:
+            q, nq = Q[rows, :i], norms[rows, :i]
+            m = dot(b[:, None], q) / nq
+            if np.count_nonzero(nq) < nq.size:
+                m[nq == 0] = 0.0
+            mu[rows, i, :i] = m
+            steps = m[:, :, None] * q
+            for j in range(i):
+                v = v - steps[:, j]
+        Q[rows, i] = v
+        norms[rows, i] = dot(v, v)
+
+    def split(rows, mask):
+        # (rows where mask holds, rows where it fails); None for no rows, and
+        # a slice stays a slice, so the bases of a whole stack are views
+        hits = np.count_nonzero(mask)
+        if hits == mask.size:
+            return rows, None
+        if hits == 0:
+            return None, rows
+        if rows is every:
+            return np.flatnonzero(mask), np.flatnonzero(~mask)
+        return rows[mask], rows[~mask]
+
+    def step(rows, k):
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
-            if q != 0:
-                B[:, k] -= q * B[:, j]
-                gso_row(k)
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
-            k += 1
-            if k < d:
-                gso_row(k)
-        else:
-            B[:, [k - 1, k]] = B[:, [k, k - 1]]
-            gso_row(k - 1)
-            gso_row(k)
-            k = max(k - 1, 1)
-    return B
+            q = np.rint(mu[rows, k, j])
+            nonzero = q != 0
+            sub = split(rows, nonzero)[0]
+            if sub is not None:
+                if sub is not rows:
+                    q = q[nonzero]
+                B[sub, k] -= q[:, None] * B[sub, j]
+                gso_row(sub, k)
+        m = mu[rows, k, k - 1]
+        grow, swap = split(rows, norms[rows, k] >= (delta - m * m) * norms[rows, k - 1])
+        if grow is not None:
+            K[grow] = k + 1
+            if k + 1 < d:
+                gso_row(grow, k + 1)
+        if swap is not None:
+            B[swap, k - 1 : k + 1] = B[swap, k - 1 : k + 1][:, ::-1].copy()
+            gso_row(swap, k - 1)
+            gso_row(swap, k)
+            K[swap] = max(k - 1, 1)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for i in range(min(2, d)):
+            gso_row(every, i)
+        passes = 0
+        while True:
+            counts = np.bincount(K, minlength=d + 1).tolist()
+            active = [k for k in range(1, d) if counts[k]]
+            if not active:
+                break
+            passes += 1
+            if passes > LLL_MAX_ITERATIONS:
+                raise CapExceeded(f"LLL did not converge in {LLL_MAX_ITERATIONS} iterations")
+            if counts[active[0]] == N:
+                step(every, active[0])
+                continue
+            # groups are fixed before any step, so a basis makes one iteration per pass
+            for k, rows in [(k, np.flatnonzero(K == k)) for k in active]:
+                step(rows, k)
+    return np.ascontiguousarray(B.transpose(0, 2, 1))
 
 
 def _enumerate_ball(R: ReducedBasis, center: np.ndarray, radius: float, guard: int):

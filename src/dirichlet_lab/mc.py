@@ -22,11 +22,14 @@ import numpy as np
 from .approx import DimensionParams
 from .errors import DomainError, ValidationError
 from .exact2d import Exact2D
-from .lattice import WeightPair, apply_flow, lattice_from_matrix
+from .lattice import WeightPair, apply_flow, lattice_from_matrix, reduce_lattices
 from .rng import sample_torus, substream
 from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profile
 
 _Z95 = 1.959963984540054
+# samples per lockstep LLL in measure_profile at d >= 3: enough to spread the
+# kernel's per-pass overhead, few enough that the chunk's lattices stay small
+_LLL_CHUNK = 256
 
 # zeta(2)..zeta(6); enumeration is capped at d = 6 anyway
 _ZETA = {
@@ -95,7 +98,8 @@ def measure_profile(
 
     Every (kind, r) is validated once as a TargetSpec.  Each sample then
     reads all of them off one membership profile: exact at m = n = 1
-    (Exact2D.membership_profile), float otherwise (targets.membership_profile).
+    (Exact2D.membership_profile), float otherwise (targets.membership_profile,
+    on lattices reduced _LLL_CHUNK at a time by one lockstep LLL).
     """
     if s_push < 5.0:
         raise ValidationError("s_push must be >= 5 (push-time bias guard)")
@@ -106,14 +110,16 @@ def measure_profile(
     specs = [TargetSpec(kind, r, w) for kind in kinds for r in r_values]
     counts = {(spec.kind, spec.r): 0 for spec in specs}
     dims = w.dims
-    scalar = dims.m == 1 and dims.n == 1
-    for i in range(N):
-        A = sample_torus(substream(seed, label, i), dims.m, dims.n)
-        if scalar:
-            hits = Exact2D.of(A).membership_profile(s_push, kinds, r_values)
-        else:
-            L = apply_flow(lattice_from_matrix(A, dims), s_push, w)
-            hits = membership_profile(L, kinds, r_values, w)
+    if dims.m == 1 and dims.n == 1:
+        profiles = (
+            Exact2D.of(sample_torus(substream(seed, label, i), 1, 1)).membership_profile(
+                s_push, kinds, r_values
+            )
+            for i in range(N)
+        )
+    else:
+        profiles = _flowed_profiles(kinds, r_values, w, s_push, N, seed, label)
+    for hits in profiles:
         for key, hit in hits.items():
             counts[key] += hit
     return {
@@ -122,6 +128,24 @@ def measure_profile(
         )
         for key in counts
     }
+
+
+def _flowed_profiles(kinds, r_values, w: WeightPair, s_push: float, N: int, seed: int, label: str):
+    """Membership profile of every pushed sample lattice, in sample order."""
+    dims = w.dims
+    for start in range(0, N, _LLL_CHUNK):
+        chunk = [
+            apply_flow(
+                lattice_from_matrix(sample_torus(substream(seed, label, i), dims.m, dims.n), dims),
+                s_push,
+                w,
+            )
+            for i in range(start, min(start + _LLL_CHUNK, N))
+        ]
+        reduce_lattices(chunk)
+        chunk.reverse()
+        while chunk:  # each lattice is released once its profile is read
+            yield membership_profile(chunk.pop(), kinds, r_values, w)
 
 
 def estimate_measure_equidist(

@@ -7,9 +7,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from dirichlet_lab import rate
+from dirichlet_lab.approx import ConstantRatio, DimensionParams
 from dirichlet_lab.cli import _build_parser, cli_main
 from dirichlet_lab.config import ExperimentConfig
 from dirichlet_lab.errors import ValidationError
+from dirichlet_lab.rate import s0_of
 
 
 def test_config_round_trip_simple():
@@ -198,6 +200,20 @@ def test_cli_dani_inverts_each_row_once(tmp_path, monkeypatch):
     assert cli_main([*argv, "--out", str(tmp_path)]) == 0
     rows = (tmp_path / "dani.csv").read_text().splitlines()[1:]
     assert len(calls) == len(rows) > 10
+
+
+def test_cli_dani_s_grid_is_the_crossval_grid(tmp_path, capsys):
+    psi = ["--set", "psi.family=constant_ratio", "--set", "psi.params=0.6"]
+    s0 = s0_of(ConstantRatio(0.6), DimensionParams(1, 1))
+    argv = ["dani", "--s-step", "0.1", "--s-max", repr(s0 + 10.0), *psi, "--out", str(tmp_path)]
+    assert cli_main(argv) == 0
+    rows = (tmp_path / "dani.csv").read_text().splitlines()[1:]
+    s_values = [float(row.split(",")[0]) for row in rows]
+    assert s_values == np.arange(s0, s0 + 10.0 + 1e-12, 0.1).tolist()
+    assert len(s_values) == 101
+    for step in ("0", "-0.1"):
+        assert cli_main([*argv[:2], step, *argv[3:]]) == 1
+        assert "s_step must be positive" in capsys.readouterr().err
 
 
 def test_cli_disjoint_guard_exit_code(tmp_path, capsys):

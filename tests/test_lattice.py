@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from dirichlet_lab import lattice
 from dirichlet_lab.approx import DimensionParams
-from dirichlet_lab.errors import CapExceeded, DimensionTooLarge, ValidationError
+from dirichlet_lab.errors import BudgetExceeded, CapExceeded, DimensionTooLarge, ValidationError
 from dirichlet_lab.lattice import (
     Box,
     UnimodularLattice,
@@ -312,6 +312,185 @@ def test_reduction_is_computed_once_per_lattice(monkeypatch):
     assert lattice.has_nonzero_point(L, Box.open_cube(1.5, 3))
     assert len(calls) == 1
     assert np.array_equal(L.reduced.B, original(L.basis))
+
+
+def _lll_reference(basis, delta=0.99):
+    """The per-lattice LLL that lll_reduce_batch replaced, kept verbatim as the reference.
+
+    Its Gram-Schmidt uses np.dot and its Lovasz test mu ** 2, so on a CPU
+    with fma its values can differ in the last bit from the kernel's
+    fixed-order sums and mu * mu; the reduced bases agree whenever no
+    rounding or Lovasz decision lands on that bit.
+    """
+    B = np.array(basis, dtype=float)
+    d = B.shape[1]
+    Q = np.zeros_like(B)
+    mu = np.zeros((d, d))
+    norms = np.zeros(d)
+
+    def gso_row(i):
+        v = B[:, i].copy()
+        for j in range(i):
+            if norms[j] > 0:
+                mu[i, j] = np.dot(B[:, i], Q[:, j]) / norms[j]
+                v -= mu[i, j] * Q[:, j]
+            else:
+                mu[i, j] = 0.0
+        Q[:, i] = v
+        norms[i] = np.dot(v, v)
+
+    for i in range(min(2, d)):
+        gso_row(i)
+    k = 1
+    iterations = 0
+    while k < d:
+        iterations += 1
+        if iterations > lattice.LLL_MAX_ITERATIONS:
+            raise CapExceeded(f"LLL did not converge in {lattice.LLL_MAX_ITERATIONS} iterations")
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q != 0:
+                B[:, k] -= q * B[:, j]
+                gso_row(k)
+        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+            if k < d:
+                gso_row(k)
+        else:
+            B[:, [k - 1, k]] = B[:, [k, k - 1]]
+            gso_row(k - 1)
+            gso_row(k)
+            k = max(k - 1, 1)
+    return B
+
+
+def _flowed_bases(m, n, s, count, label="lll-batch"):
+    return _flowed_lattices(m, n, s, count, label)[0]
+
+
+def _flowed_lattices(m, n, s, count, label):
+    """Flowed bases g_s [[I, A], [0, I]], with the unflowed bases and the flow's diagonal."""
+    dims = DimensionParams(m, n)
+    w = WeightPair.unweighted(m, n)
+    unflowed = [
+        lattice_from_matrix(sample_torus(substream(12, f"{label}-{s}", i), m, n), dims)
+        for i in range(count)
+    ]
+    flowed = np.stack([apply_flow(L, s, w).basis for L in unflowed])
+    return flowed, np.stack([L.basis for L in unflowed]), np.exp(w.flow_exponents(s))
+
+
+def _int_det(M):
+    """Exact determinant of an integer matrix (Bareiss elimination)."""
+    M = [[int(x) for x in row] for row in M]
+    n, sign, prev = len(M), 1, 1
+    for k in range(n - 1):
+        pivot = next((i for i in range(k, n) if M[i][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            M[k], M[pivot] = M[pivot], M[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                M[i][j] = (M[i][j] * M[k][k] - M[i][k] * M[k][j]) // prev
+        prev = M[k][k]
+    return sign * M[n - 1][n - 1]
+
+
+def _assert_lll_reduced(unflowed, scale, reduced, delta=0.99):
+    """Size-reduced, Lovasz at delta, and an integral transition with |det| = 1, for every basis.
+
+    The transition U solves diag(scale) unflowed U = reduced; dividing out
+    the flow first keeps the solve well conditioned.  U is integral only to
+    about 1e-2 at s = 15: the float column operations cancel entries up to
+    ~1e6 down to ~1e-3, so U is tested against its rounding with 0.05.
+    """
+    _, R = np.linalg.qr(reduced)
+    diag = np.diagonal(R, axis1=1, axis2=2)
+    mu = R / diag[:, :, None]  # mu[n, j, i] = <b_i, q_j> / |q_j|^2 above the diagonal
+    d = reduced.shape[1]
+    upper = np.triu(np.ones((d, d), dtype=bool), 1)
+    assert np.all(np.abs(mu[:, upper]) <= 0.5 + 1e-6)
+    norms = diag**2
+    for k in range(1, d):
+        mu_k = mu[:, k - 1, k]
+        assert np.all(norms[:, k] >= (delta - mu_k**2) * norms[:, k - 1] * (1.0 - 1e-9))
+    U = np.linalg.solve(unflowed, reduced / scale[:, None])
+    assert np.all(np.abs(U - np.round(U)) <= 0.05)
+    assert all(abs(_int_det(u)) == 1 for u in np.round(U))
+
+
+@pytest.mark.parametrize(
+    "m,n,s_values,count",
+    [
+        (1, 2, (5.0, 10.0, 15.0), 1000),
+        (2, 1, (5.0, 10.0, 15.0), 1000),
+        (2, 2, (10.0,), 300),
+        (3, 3, (10.0,), 300),
+    ],
+)
+def test_batch_lll_is_bit_equal_to_the_reference(m, n, s_values, count):
+    for s in s_values:
+        bases, unflowed, scale = _flowed_lattices(m, n, s, count, "lll-batch")
+        reduced = lattice.lll_reduce_batch(bases)
+        want = np.stack([_lll_reference(b) for b in bases])
+        assert np.array_equal(reduced, want), (m, n, s)
+        _assert_lll_reduced(unflowed, scale, reduced)
+
+
+def test_batch_lll_row_equals_its_single_reduction():
+    # mixed flow times give the stack's bases different k at every pass
+    bases = np.concatenate([_flowed_bases(1, 2, s, 20, "lll-rows") for s in (0.0, 5.0, 15.0)])
+    bases = bases[substream(12, "lll-rows-order", 0).permutation(len(bases))]
+    reduced = lattice.lll_reduce_batch(bases)
+    for i in range(len(bases)):
+        assert np.array_equal(reduced[i], lattice.lll_reduce_batch(bases[i : i + 1])[0]), i
+        assert np.array_equal(reduced[i], lll_reduce(bases[i])), i
+
+
+def test_batch_lll_cap_raises_and_never_returns_a_partial_stack(monkeypatch):
+    bases = _flowed_bases(2, 1, 15.0, 40, "lll-batch-cap")
+    full = lattice.lll_reduce_batch(bases)
+
+    def needed(stack):
+        # fewest iterations at which the stack reduces without tripping the cap
+        lo, hi = 1, 10_000
+        while lo < hi:
+            mid = (lo + hi) // 2
+            monkeypatch.setattr(lattice, "LLL_MAX_ITERATIONS", mid)
+            try:
+                lattice.lll_reduce_batch(stack)
+                hi = mid
+            except CapExceeded:
+                lo = mid + 1
+        return lo
+
+    cap = needed(bases)
+    singles = [needed(bases[i : i + 1]) for i in range(len(bases))]
+    assert max(singles) == cap and min(singles) < cap  # most bases finish under the cap
+    monkeypatch.setattr(lattice, "LLL_MAX_ITERATIONS", cap - 1)
+    with pytest.raises(CapExceeded):
+        lattice.lll_reduce_batch(bases)
+    monkeypatch.setattr(lattice, "LLL_MAX_ITERATIONS", cap)
+    assert np.array_equal(lattice.lll_reduce_batch(bases), full)
+
+
+def test_reduce_lattices_seeds_what_first_use_computes():
+    dims = DimensionParams(1, 2)
+    bases = _flowed_bases(1, 2, 10.0, 30, "seed")
+    seeded = [UnimodularLattice(b, dims) for b in bases]
+    lattice.reduce_lattices(seeded)
+    for b, L in zip(bases, seeded):
+        alone = UnimodularLattice(b, dims).reduced
+        for name in ("B", "Q", "T", "signs"):
+            assert np.array_equal(getattr(L.reduced, name), getattr(alone, name)), name
+            assert not getattr(L.reduced, name).flags.writeable
+
+
+def test_reduced_basis_refuses_a_basis_off_det_one():
+    with pytest.raises(BudgetExceeded):
+        lattice.ReducedBasis.stack(np.stack([np.eye(3), np.diag([1.0, 1.0, 1.0 + 1e-6])]))
 
 
 def _enumerate_ball_scalar(R, center, radius, guard):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_lab import lattice
+from dirichlet_lab import lattice, mc
 from dirichlet_lab.approx import DimensionParams
 from dirichlet_lab.errors import DomainError, ValidationError
 from dirichlet_lab.lattice import UnimodularLattice, WeightPair
@@ -196,11 +196,22 @@ def test_pair_correlation_gap_decorrelates():
 
 
 def test_measure_profile_reduces_each_sample_once(monkeypatch):
-    calls = []
-    original = lattice.lll_reduce
-    monkeypatch.setattr(lattice, "lll_reduce", lambda B: calls.append(1) or original(B))
+    singles, stacks = [], []
+    single, batch = lattice.lll_reduce, lattice.lll_reduce_batch
+    monkeypatch.setattr(lattice, "lll_reduce", lambda B: singles.append(1) or single(B))
+    monkeypatch.setattr(lattice, "lll_reduce_batch", lambda B: stacks.append(len(B)) or batch(B))
     w = WeightPair.unweighted(1, 2)
     radii = [0.02 * 10 ** (i / 7) for i in range(8)]
     profile = measure_profile([KIND_SUB, KIND_PRIMED], radii, w, 10.0, 1000, seed=0)
-    assert len(calls) == 1000
+    assert singles == [] and sum(stacks) == 1000
+    assert stacks == [mc._LLL_CHUNK] * (1000 // mc._LLL_CHUNK) + [1000 % mc._LLL_CHUNK]
     assert len(profile) == 16
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 1000])
+def test_measure_profile_does_not_depend_on_the_lll_chunk(monkeypatch, chunk):
+    w = WeightPair.unweighted(1, 2)
+    args = (["sub", "primed"], [0.05, 0.2], w, 10.0, 1000)
+    want = measure_profile(*args, seed=4)
+    monkeypatch.setattr(mc, "_LLL_CHUNK", chunk)
+    assert measure_profile(*args, seed=4) == want
