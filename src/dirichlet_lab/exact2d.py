@@ -23,8 +23,10 @@ query enumerates in a pair of rungs chosen in integers (certified as a
 basis by |det| = den).  No float steers any choice.
 
 Thickened membership needs exact integers only for the log-moduli of the
-points in one candidate box; their s-intervals and the interval algebra
-are targets.witness_from_logs, the kernel of the float path.
+points in one candidate box per window; the windows of one orbit or one
+profile hand their points' logs, each row tagged with its window, to one
+call of targets.witness_from_logs, the array kernel of the float path,
+which gives the s-intervals and the interval algebra.
 
 The ladder grows in place, one Euclid step per rung, and each query grows
 it only as far as it reads: Delta at sigma to the first key past 2 sigma,
@@ -373,7 +375,7 @@ class Exact2D:
         unless it exceeds every r, the slab enumerated once, at the largest
         r: every smaller slab lies inside it, so each primed(r) is read off
         those points.  Thickened kinds flow over [sigma, sigma + window),
-        windows as in targets.
+        windows as in targets, all in one witness_intervals_batch call.
         """
         if KIND_SUB in kinds or KIND_PRIMED in kinds:
             delta = self.delta_flowed(sigma)
@@ -382,6 +384,12 @@ class Exact2D:
                 if KIND_PRIMED in kinds and delta <= max(r_values) + 1e-12
                 else []
             )
+        thick = [(kind, r) for kind in kinds if kind in _WINDOWS for r in r_values]
+        if thick:
+            found = self.witness_intervals_batch(
+                [(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED) for kind, r in thick]
+            )
+            witness = {key: bool(ivs) for key, ivs in zip(thick, found)}
         out = {}
         for kind in kinds:
             for r in r_values:
@@ -392,36 +400,61 @@ class Exact2D:
                         self._in_slab(n, q, sigma, r) for n, q in slab
                     )
                 else:
-                    hit = self.hits_thick(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED)
+                    hit = witness[(kind, r)]
                 out[(kind, r)] = hit
         return out
 
     # -- thickened membership via s-interval analysis -----------------------
 
+    def witness_intervals_batch(self, windows):
+        """witness_intervals for every (k, window, r, primed) in windows.
+
+        Each window takes its own Delta pre-filter and candidate box; the
+        rows of all boxes go to one kernel call, each tagged with its window.
+        """
+        logs, slab_ok, counts, queries, kept = [], [], [], [], []
+        for idx, (k, window, r, primed) in enumerate(windows):
+            self._check_sigma(k + window)
+            lo, hi = float(k), float(k) + float(window)
+            # Lipschitz pre-filter (|Delta(s1) - Delta(s2)| <= |s1 - s2| here):
+            # when Delta at the midpoint clears r by half the window, no s has
+            # a witness
+            if self.delta_flowed(lo + 0.5 * window) - 0.5 * window > r + 1e-9:
+                continue
+            TargetSpec(KIND_THICK_PRIMED if primed else KIND_THICK, r, _W11)  # validates r
+            # one box holding every point that can enter the cube, or for
+            # primed kinds the slab, during the window; the clipping to
+            # [lo, hi] drops the intervals of points outside the smaller box
+            if primed:
+                n_max = self._n_threshold(-lo + math.log1p(r / 4.0))
+                q_log = hi + max(-r, 0.5 * math.log(r))
+            else:
+                n_max = self._n_threshold(-lo - r)
+                q_log = hi - r
+            q_max = int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1
+            box = self._box_points(n_max, q_max)
+            for n, q in box:
+                logs.append((log_int(abs(n)) - self.log_den if n else -math.inf, log_int(q) if q else -math.inf))
+                slab_ok.append(n != 0)
+            counts.append(len(box))
+            queries.append((r, primed, lo, hi))
+            kept.append(idx)
+        out = [[] for _ in windows]
+        if queries:
+            found = witness_from_logs(
+                np.array(logs, dtype=float).reshape(-1, 2),
+                np.array(slab_ok, dtype=bool),
+                np.repeat(np.arange(len(queries)), counts),
+                queries,
+                _W11,
+            )
+            for idx, ivs in zip(kept, found):
+                out[idx] = ivs
+        return out
+
     def witness_intervals(self, k: float, window: float, r: float, primed: bool):
         """Subintervals of [k, k+window) on which g_s L_A is in the base target."""
-        self._check_sigma(k + window)
-        lo, hi = float(k), float(k) + float(window)
-        # Lipschitz pre-filter (|Delta(s1) - Delta(s2)| <= |s1 - s2| here): when
-        # Delta at the midpoint clears r by half the window, no s has a witness
-        if self.delta_flowed(lo + 0.5 * window) - 0.5 * window > r + 1e-9:
-            return []
-        # one box holding every point that can enter the cube, or for primed
-        # kinds the slab, during the window; the clipping to [lo, hi] drops
-        # the intervals of points outside the smaller box
-        if primed:
-            n_max = self._n_threshold(-lo + math.log1p(r / 4.0))
-            q_log = hi + max(-r, 0.5 * math.log(r))
-        else:
-            n_max = self._n_threshold(-lo - r)
-            q_log = hi - r
-        q_max = int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1
-        rows = [
-            ((log_int(abs(n)) - self.log_den if n else -math.inf, log_int(q) if q else -math.inf), n != 0)
-            for n, q in self._box_points(n_max, q_max)
-        ]
-        spec = TargetSpec(KIND_THICK_PRIMED if primed else KIND_THICK, r, _W11)
-        return witness_from_logs(rows, spec, lo, hi)
+        return self.witness_intervals_batch([(k, window, r, primed)])[0]
 
     def hits_thick(self, k: float, window: float, r: float, primed: bool) -> bool:
         """Does g_s L_A enter the base target for some s in [k, k+window)?"""

@@ -116,9 +116,10 @@ def orbit_hit_series(
     window = _WINDOWS[kind]
     hits = np.zeros(k_hi - k_lo + 1, dtype=bool)
     if scalar:
-        ex = Exact2D.of(A)
-        for idx, k in enumerate(range(k_lo, k_hi + 1)):
-            hits[idx] = ex.hits_thick(float(k), window, float(radii[idx]), primed)
+        found = Exact2D.of(A).witness_intervals_batch(
+            [(float(k), window, r, primed) for k, r in zip(range(k_lo, k_hi + 1), radii.tolist())]
+        )
+        hits[:] = [bool(ivs) for ivs in found]
     else:
         if k_hi + window > FLOAT_FLOW_HORIZON:
             raise BudgetExceeded(

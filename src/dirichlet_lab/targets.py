@@ -11,9 +11,12 @@ Thickened membership is decided without any s-grid: every candidate vector
 contributes one s-interval per condition (each flowed coordinate is
 monotone in s, so endpoints solve in closed form), and the interval sets
 are combined exactly (complement-of-union for cube avoidance, union for
-slab hitting).  `witness_from_logs` is the one copy of those formulas.  It
-reads only the candidates' log-moduli, so the float path here and the
-exact d = 2 engine in exact2d (logs of exact integers) share it.
+slab hitting).  `witness_from_logs` is the one copy of those formulas: an
+array kernel over an (N, d) array of log-moduli, each row tagged with the
+query that owns it, so one call answers every (kind, r) of a lattice.
+Since it reads nothing but log-moduli, the float path here (math.log of
+the float coordinates) and the exact d = 2 engine in exact2d (logs of
+exact integers, every window of an orbit in one call) share it.
 
 `membership_profile` enumerates each lattice at most once and reads every
 (kind, r) off that one point set: the cubes, slabs and thickening windows
@@ -122,60 +125,68 @@ def intersect_intervals(xs, ys):
     return out
 
 
-def witness_from_logs(rows, spec: TargetSpec, lo: float, hi: float):
-    """s-subsets of [lo, hi] on which g_s L lies in spec's base target.
+def witness_from_logs(logs, slab_ok, owner, queries, w: WeightPair):
+    """s-subsets of [lo, hi] on which g_s L lies in each query's base target.
 
-    One row (logs, slab_ok) per candidate point v of L: logs[i] = log|v_i|,
-    -inf where v_i = 0, and slab_ok says whether v, up to sign, can reach the
-    slab near +e_1.  Each flowed coordinate e^{alpha_i s}|v_i| or
-    e^{-beta_j s}|v_j| is monotone in s, so v's cube-entry and slab-entry
-    s-intervals solve in closed form; L avoids the cube off the union of the
-    former and, for primed kinds, hits the slab on the union of the latter.
+    One row per candidate point v of L: logs[i, j] = log|v_j| (an (N, d)
+    array, -inf where v_j = 0), slab_ok[i] says whether v, up to sign, can
+    reach the slab near +e_1, and owner[i] is the index of the query the row
+    belongs to.  A query is (r, primed, lo, hi).  Each flowed coordinate
+    e^{alpha_i s}|v_i| or e^{-beta_j s}|v_j| is monotone in s, so every
+    row's cube-entry and slab-entry s-intervals solve in closed form, one
+    column at a time over all rows; L avoids the cube off the union of the
+    former and, for primed queries, hits the slab on the union of the
+    latter.  Returns one interval list per query.
     """
-    w = spec.weights
     m, alpha, beta = w.m, w.alpha, w.beta
-    r = spec.r
-    neg_r = -r
-    primed = spec.base_kind == KIND_PRIMED
-    if primed:
-        eps = r / (2 * (m + w.n))
-        half_log_r = 0.5 * math.log(r)
-        near, far = math.log1p(-eps), math.log1p(eps)
-        a0, alpha_rest = alpha[0], alpha[1:]
-    cube_hits = []
-    slab_hits = []
-    for logs, slab_ok in rows:
-        logs_beta = logs[m:]
-        s_hi = math.inf
-        for x, a in zip(logs, alpha):
-            t = (neg_r - x) / a
-            if t < s_hi:
-                s_hi = t
-        s_lo = -math.inf
-        for x, b in zip(logs_beta, beta):
-            t = (r + x) / b
-            if t > s_lo:
-                s_lo = t
-        if s_hi - s_lo > _MIN_LEN:
-            cube_hits.append((s_lo, s_hi))
-        if primed and slab_ok:
-            x0 = logs[0]
-            s_lo = (near - x0) / a0
-            s_hi = (far - x0) / a0
-            for x, a in zip(logs[1:m], alpha_rest):
-                t = (half_log_r - x) / a
-                if t < s_hi:
-                    s_hi = t
-            for x, b in zip(logs_beta, beta):
-                t = (x - half_log_r) / b
-                if t > s_lo:
-                    s_lo = t
-            if s_hi - s_lo > _MIN_LEN:
-                slab_hits.append((s_lo, s_hi))
-    avoid = complement_within(merge_intervals(cube_hits), lo, hi)
-    if not primed:
-        return avoid
-    return intersect_intervals(avoid, merge_intervals(slab_hits))
+    radii = [query[0] for query in queries]
+    r = np.array(radii, dtype=float)[owner]
+    # cube entry: every |v_i| e^{alpha_i s} and |v_j| e^{-beta_j s} below e^-r
+    s_hi = _fold([(-r - x) / a for x, a in zip(logs[:, :m].T, alpha)], np.less)
+    s_lo = _fold([(r + x) / b for x, b in zip(logs[:, m:].T, beta)], np.greater)
+    cube = _by_owner(owner, s_lo, s_hi, len(queries))
+    # slab entry, on the slab_ok rows of primed queries: e^{alpha_0 s}|v_0| in
+    # (1 - eps, 1 + eps) and every other flowed coordinate below sqrt r
+    slab_rows = slab_ok & np.array([query[1] for query in queries], dtype=bool)[owner]
+    x, own = logs[slab_rows], owner[slab_rows]
+    eps = [radius / (2 * (m + w.n)) for radius in radii]
+    near = np.array([math.log1p(-e) for e in eps])[own]
+    far = np.array([math.log1p(e) for e in eps])[own]
+    half_log_r = np.array([0.5 * math.log(radius) for radius in radii])[own]
+    x0 = x[:, 0]
+    s_hi = _fold(
+        [(far - x0) / alpha[0]] + [(half_log_r - xi) / a for xi, a in zip(x[:, 1:m].T, alpha[1:])],
+        np.less,
+    )
+    s_lo = _fold(
+        [(near - x0) / alpha[0]] + [(xj - half_log_r) / b for xj, b in zip(x[:, m:].T, beta)],
+        np.greater,
+    )
+    slab = _by_owner(own, s_lo, s_hi, len(queries))
+    out = []
+    for (_, primed, lo, hi), cube_hits, slab_hits in zip(queries, cube, slab):
+        avoid = complement_within(merge_intervals(cube_hits), lo, hi)
+        out.append(intersect_intervals(avoid, merge_intervals(slab_hits)) if primed else avoid)
+    return out
+
+
+def _fold(columns, better):
+    """Elementwise running bound over columns of endpoints: the array form of
+    `if better(t, s): s = t`, so each kept endpoint is the float the scalar
+    loop keeps (np.minimum/np.maximum may pick the other zero of -0.0, 0.0)."""
+    acc = columns[0]
+    for t in columns[1:]:
+        acc = np.where(better(t, acc), t, acc)
+    return acc
+
+
+def _by_owner(owner, s_lo, s_hi, count: int):
+    """Each row's interval (s_lo, s_hi) that is not empty, listed under its owner."""
+    keep = s_hi - s_lo > _MIN_LEN
+    groups = [[] for _ in range(count)]
+    for o, lo, hi in zip(owner[keep].tolist(), s_lo[keep].tolist(), s_hi[keep].tolist()):
+        groups[o].append((lo, hi))
+    return groups
 
 
 def _candidate_cube(window: float, d: int) -> Box:
@@ -187,19 +198,44 @@ def _candidate_cube(window: float, d: int) -> Box:
     return Box.closed_cube(math.exp(window) * (1.0 + 1e-9), d)
 
 
+def _log_moduli(points):
+    """(N, d) array of log|x| over the coordinates of points, -inf where x = 0.
+
+    Taken by math.log, as the exact d = 2 engine takes its logs (np.log
+    differs from it in the last bit on some inputs).
+    """
+    mags = np.abs(points)
+    logs = np.full(mags.shape, -math.inf)
+    nonzero = mags != 0.0
+    logs[nonzero] = np.fromiter(map(math.log, mags[nonzero].tolist()), float)
+    return logs
+
+
+def _query(spec: TargetSpec):
+    """The kernel query of a thickened spec: its base target over [0, window)."""
+    return spec.r, spec.base_kind == KIND_PRIMED, 0.0, spec.window
+
+
+def _check_weights(L: UnimodularLattice, w: WeightPair):
+    if (w.m, w.n) != (L.dims.m, L.dims.n):
+        raise ValidationError("target weights do not match lattice dims")
+
+
 def _witness_intervals(candidates, spec: TargetSpec):
     """s-subsets of [0, window) on which g_s L lies in the base target.
 
     `candidates` are the lattice's nonzero points in _candidate_cube(spec.window).
     """
-    rows = (([math.log(abs(x)) if x else -math.inf for x in v], v[0] > 0.0) for v in candidates.tolist())
-    return witness_from_logs(rows, spec, 0.0, spec.window)
+    owner = np.zeros(candidates.shape[0], dtype=np.intp)
+    logs = _log_moduli(candidates)
+    return witness_from_logs(logs, candidates[:, 0] > 0.0, owner, [_query(spec)], spec.weights)[0]
 
 
 def thickened_witness_intervals(
     L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000
 ):
     """s-subsets of [0, window) on which g_s L lies in the base target."""
+    _check_weights(L, spec.weights)
     candidates = enumerate_in_box(L, _candidate_cube(spec.window, L.d), cap=cap)
     return _witness_intervals(candidates, spec)
 
@@ -210,27 +246,35 @@ def membership_profile(
     """Exact membership of L for every (kind, r), from at most one enumeration.
 
     With a thickened kind, the candidate cube of the widest window is
-    enumerated; a narrower window's candidates are the rows inside its own
-    cube (the same rows, in the same order, as enumerating that cube), and
-    `sub`/`primed` are read off the same rows.  Otherwise an early-exit
-    probe of the smallest open cube e^-r_max comes first: a point there
-    puts L outside every sub(r) and primed(r).  If it finds none, a single
-    r takes an early-exit probe of its slab, and several r one enumeration
-    of a closed cube holding every open cube and slab.  Every answer equals
-    the single query's.
+    enumerated and the log-moduli of its points taken once.  A narrower
+    window's candidates are the rows inside its own cube (the same rows, in
+    the same order, as enumerating that cube), one call of the s-interval
+    kernel answers every thickened (kind, r), and `sub`/`primed` are read
+    off the same rows.  Otherwise an early-exit probe of the smallest open
+    cube e^-r_max comes first: a point there puts L outside every sub(r)
+    and primed(r).  If it finds none, a single r takes an early-exit probe
+    of its slab, and several r one enumeration of a closed cube holding
+    every open cube and slab.  Every answer equals the single query's.
     """
     specs = [TargetSpec(kind, r, w if kind in _WINDOWS else None) for r in r_values for kind in kinds]
     windows = sorted({spec.window for spec in specs if spec.thick}, reverse=True)
-    if windows and (w.m, w.n) != (L.dims.m, L.dims.n):
-        raise ValidationError("target weights do not match lattice dims")
     d = L.d
     points = None
-    candidates = {}
+    witness = {}
     if windows:
+        _check_weights(L, w)
         points = enumerate_in_box(L, _candidate_cube(windows[0], d), cap=cap)
-        candidates = {
-            window: points[_candidate_cube(window, d).contains_rows(points)] for window in windows
-        }
+        # every point lies in the widest cube (enumerate_in_box applies the same test)
+        inside = {windows[0]: np.arange(points.shape[0])}
+        for window in windows[1:]:
+            inside[window] = np.flatnonzero(_candidate_cube(window, d).contains_rows(points))
+        thick = [spec for spec in specs if spec.thick]
+        rows = np.concatenate([inside[spec.window] for spec in thick])
+        owner = np.repeat(np.arange(len(thick)), [inside[spec.window].size for spec in thick])
+        found = witness_from_logs(
+            _log_moduli(points)[rows], points[rows, 0] > 0.0, owner, [_query(spec) for spec in thick], w
+        )
+        witness = {(spec.kind, spec.r): bool(ivs) for spec, ivs in zip(thick, found)}
     radii = list(dict.fromkeys(spec.r for spec in specs if not spec.thick))
     primed = any(spec.kind == KIND_PRIMED for spec in specs)
     in_cube = {}  # r -> some nonzero point lies in the open cube (-e^-r, e^-r)^d
@@ -259,7 +303,7 @@ def membership_profile(
         elif spec.kind == KIND_PRIMED:
             out[key] = not in_cube[spec.r] and in_slab[spec.r]
         else:
-            out[key] = bool(_witness_intervals(candidates[spec.window], spec))
+            out[key] = witness[key]
     return out
 
 
@@ -282,6 +326,7 @@ def in_target_grid_oracle(
     if not spec.thick:
         return in_target(L, spec, cap=cap)
     w = spec.weights
+    _check_weights(L, w)
     window = spec.window
     candidates = enumerate_in_box(L, _candidate_cube(window, L.d), cap=cap)
     grid = np.arange(0.0, window, step)

@@ -277,6 +277,46 @@ def test_witness_intervals_match_two_box_reference():
     assert nonempty >= 300
 
 
+def _box_of_window(ex, k, window, r, primed):
+    """The candidate box Exact2D.witness_intervals_batch enumerates for one window."""
+    lo, hi = float(k), float(k) + window
+    if primed:
+        n_max = ex._n_threshold(-lo + math.log1p(r / 4.0))
+        q_log = hi + max(-r, 0.5 * math.log(r))
+    else:
+        n_max = ex._n_threshold(-lo - r)
+        q_log = hi - r
+    return ex._box_points(n_max, int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1)
+
+
+def test_witness_intervals_batch_equals_one_call_per_window():
+    rng = substream(16, "x2d-witness-batch", 0)
+    dropped = empty_box = 0
+    for bits in (64, 192, 256):
+        for i in range(3):
+            num, den = sample_torus_fixedpoint(substream(16, f"x2d-witness-{bits}", i), 1, 1, bits)
+            windows = [
+                (float(k), window, r, primed)
+                for k in range(0, 101, 4)
+                for r in (0.01, 0.05, 0.2, 0.6)
+                for window in (1.0, 0.5)
+                for primed in (False, True)
+            ]
+            windows = [windows[j] for j in rng.permutation(len(windows))]
+            got = Exact2D(num[0][0], den).witness_intervals_batch(windows)
+            ex = Exact2D(num[0][0], den)
+            assert repr(got) == repr([ex.witness_intervals(*query) for query in windows])
+            for (k, window, r, primed), ivs in zip(windows, got):
+                if ex.delta_flowed(k + 0.5 * window) - 0.5 * window > r + 1e-9:
+                    dropped += 1
+                    assert ivs == []  # the pre-filter's answer, not the whole window
+                elif not _box_of_window(ex, k, window, r, primed):
+                    empty_box += 1
+                    assert ivs == ([] if primed else [(k, k + window)])
+    assert dropped >= 100 and empty_box >= 20
+    assert Exact2D(num[0][0], den).witness_intervals_batch([]) == []
+
+
 def test_reduction_cap_raises():
     num, den = sample_torus_fixedpoint(substream(17, "x2d-cap", 0), 1, 1, bits=256)
     ex = Exact2D(num[0][0], den)
@@ -360,12 +400,18 @@ def _witness_intervals_ladder_free(ex, k, window, r, primed):
         n_max = ex._n_threshold(-lo - r)
         q_log = hi - r
     q_max = int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1
-    rows = [
-        ((log_int(abs(n)) - ex.log_den if n else -math.inf, log_int(q) if q else -math.inf), n != 0)
-        for n, q in _box_points_reference(ex, n_max, q_max)
+    points = _box_points_reference(ex, n_max, q_max)
+    logs = [
+        (log_int(abs(n)) - ex.log_den if n else -math.inf, log_int(q) if q else -math.inf)
+        for n, q in points
     ]
-    spec = TargetSpec(KIND_THICK_PRIMED if primed else KIND_THICK, r, W11)
-    return witness_from_logs(rows, spec, lo, hi)
+    return witness_from_logs(
+        np.array(logs, dtype=float).reshape(-1, 2),
+        np.array([n != 0 for n, _ in points], dtype=bool),
+        np.zeros(len(points), dtype=np.intp),
+        [(r, primed, lo, hi)],
+        W11,
+    )[0]
 
 
 def _any_point_in_box_reference(ex, n_strict, q_max):

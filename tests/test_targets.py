@@ -32,6 +32,7 @@ from dirichlet_lab.targets import (
     membership_profile,
     merge_intervals,
     thickened_witness_intervals,
+    witness_from_logs,
 )
 
 W11 = WeightPair.unweighted(1, 1)
@@ -303,18 +304,18 @@ def _witness_intervals_reference(candidates, spec):
     return intersect_intervals(avoid, merge_intervals(slab_hits))
 
 
-@pytest.mark.parametrize(
-    "w",
-    [
-        WeightPair.unweighted(1, 2),
-        WeightPair.unweighted(2, 1),
-        WeightPair(alpha=(1.0,), beta=(0.3, 0.7)),
-        W21,
-        WeightPair.unweighted(2, 2),
-        WeightPair(alpha=(0.25, 0.75), beta=(0.6, 0.4)),
-        WeightPair(alpha=(1.0,), beta=(0.5, 0.2, 0.3)),
-    ],
-)
+_KERNEL_WEIGHTS = [
+    WeightPair.unweighted(1, 2),
+    WeightPair.unweighted(2, 1),
+    WeightPair(alpha=(1.0,), beta=(0.3, 0.7)),
+    W21,
+    WeightPair.unweighted(2, 2),
+    WeightPair(alpha=(0.25, 0.75), beta=(0.6, 0.4)),
+    WeightPair(alpha=(1.0,), beta=(0.5, 0.2, 0.3)),
+]
+
+
+@pytest.mark.parametrize("w", _KERNEL_WEIGHTS)
 def test_witness_kernel_is_bit_equal_to_per_point_formulas(w):
     dims = w.dims
     nonempty = 0
@@ -330,3 +331,73 @@ def test_witness_kernel_is_bit_equal_to_per_point_formulas(w):
                 assert repr(got) == repr(_witness_intervals_reference(candidates, spec))
                 nonempty += bool(got)
     assert nonempty >= 10
+
+
+@pytest.mark.parametrize("w", _KERNEL_WEIGHTS)
+def test_grouped_kernel_equals_one_call_per_query(w):
+    dims = w.dims
+    rng = substream(26, f"grouped-{w.alpha}-{w.beta}", 0)
+    no_rows = np.zeros((0, dims.d))
+    for i in range(6):
+        A = sample_torus(substream(25, f"kernel-{w.alpha}-{w.beta}", i), dims.m, dims.n)
+        L = apply_flow(lattice_from_matrix(A, dims), 2.0 + 0.5 * i, w)
+        groups = []  # (candidates, query), one per query
+        for kind in (KIND_THICK, KIND_THICK_PRIMED):
+            candidates = enumerate_in_box(L, targets._candidate_cube(targets._WINDOWS[kind], dims.d))
+            for r in (0.02, 0.1, 0.3, 0.7):
+                spec = TargetSpec(kind, r, w)
+                groups.append((candidates, targets._query(spec)))
+                assert repr(targets._witness_intervals(candidates, spec)) == repr(
+                    _witness_intervals_reference(candidates, spec)
+                )
+        groups += [(no_rows, (0.1, False, 0.0, 1.0)), (no_rows, (0.1, True, 0.0, 0.5))]
+        singles = [
+            witness_from_logs(
+                targets._log_moduli(rows), rows[:, 0] > 0.0, np.zeros(len(rows), dtype=np.intp), [query], w
+            )[0]
+            for rows, query in groups
+        ]
+        rows = np.concatenate([rows for rows, _ in groups])
+        owner = np.repeat(np.arange(len(groups)), [len(rows) for rows, _ in groups])
+        order = rng.permutation(len(rows))
+        rows, owner = rows[order], owner[order]
+        got = witness_from_logs(
+            targets._log_moduli(rows), rows[:, 0] > 0.0, owner, [query for _, query in groups], w
+        )
+        assert repr(got) == repr(singles)
+        assert got[-2:] == [[(0.0, 1.0)], []]  # a query without rows: sub holds, primed fails
+
+
+def test_membership_profile_answers_every_thick_query_from_one_kernel_call(monkeypatch):
+    dims = DimensionParams(1, 2)
+    w = WeightPair.unweighted(1, 2)
+    kinds, radii = [KIND_THICK, KIND_THICK_PRIMED], [0.1, 0.3]
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[3]))
+        return witness_from_logs(*args)
+
+    seen = set()
+    for i in range(30):
+        A = sample_torus(substream(27, "profile-thick", i), 1, 2)
+        L = apply_flow(lattice_from_matrix(A, dims), 8.0, w)
+        monkeypatch.setattr(targets, "witness_from_logs", counted)
+        profile = membership_profile(L, kinds, radii, w)
+        monkeypatch.undo()
+        assert calls.pop() == 4 and not calls
+        for (kind, r), hit in profile.items():
+            assert hit == in_target(UnimodularLattice(L.basis, dims), TargetSpec(kind, r, w)), (i, kind, r)
+            seen.add((kind, hit))
+    assert seen == {(kind, hit) for kind in kinds for hit in (False, True)}
+
+
+def test_thick_queries_reject_weights_of_other_dims():
+    dims = DimensionParams(1, 2)
+    A = sample_torus(substream(27, "dims", 0), 1, 2)
+    L = apply_flow(lattice_from_matrix(A, dims), 5.0, WeightPair.unweighted(1, 2))
+    for kind in (KIND_THICK, KIND_THICK_PRIMED):
+        spec = TargetSpec(kind, 0.2, WeightPair.unweighted(2, 1))
+        for query in (thickened_witness_intervals, in_target_grid_oracle, in_target):
+            with pytest.raises(ValidationError, match="target weights do not match lattice dims"):
+                query(L, spec)
