@@ -41,6 +41,7 @@ from .targets import (
     KIND_THICK_PRIMED,
     TargetSpec,
     in_target,
+    thickened_hits,
 )
 
 VARIANT_UPPER = "upper"
@@ -128,8 +129,7 @@ def orbit_hit_series(
         L = lattice_from_matrix(np.asarray(A, dtype=float), w.dims)
         flowed = [apply_flow(L, float(k), w) for k in range(k_lo, k_hi + 1)]
         reduce_lattices(flowed)
-        for idx, Lk in enumerate(flowed):
-            hits[idx] = in_target(Lk, TargetSpec(kind, float(radii[idx]), w))
+        hits[:] = thickened_hits(flowed, kind, radii.tolist(), w)
     constants = {"C_r": C_r, "omega1": w.omega1, "omega2": w.omega2, "a": a}
     return HitSeries(
         variant=variant,
@@ -283,8 +283,8 @@ def verify_disjointness(
         member = apply_flow(base, -u, w)  # lies in the thickened primed set
         flowed = [apply_flow(member, float(k), w) for k in range(1, J + 1)]
         reduce_lattices(flowed)
-        for k, Lk in enumerate(flowed, start=1):
-            if in_target(Lk, spec):
+        for k, hit in enumerate(thickened_hits(flowed, spec.kind, [spec.r] * J, w), start=1):
+            if hit:
                 from .reports import basis_rows
 
                 report.violations.append(

@@ -4,14 +4,14 @@ A lattice is stored as a d x d basis matrix with |det| = 1 (columns are
 basis vectors).  Enumeration of lattice points in an axis-aligned box is
 exact for d <= 6: the basis is LLL-reduced (once per lattice object; the
 reduction and its QR data are cached on it, or seeded for a whole list of
-lattices by one lockstep LLL), and the coefficient vectors
-inside the box's circumscribed ball are walked depth-first from the QR
-data with per-level interval pruning down to level 1.  The innermost level
-is not walked: its coefficient ranges are collected and expanded, tested,
-evaluated and filtered by the box in numpy blocks, with the same float
-operations and in the same order as a scalar walk.  The box membership
-test (with open/closed endpoint flags and the boundary tolerance policy)
-makes the final call, row-wise.
+lattices by one lockstep LLL), and the coefficient vectors inside the
+box's circumscribed ball are enumerated from the QR data level by level,
+breadth-first and for a whole list of lattices at once, with per-level
+interval pruning and the same float operations, in the same order, as a
+scalar depth-first walk.  The box membership test (with open/closed
+endpoint flags and the boundary tolerance policy) makes the final call,
+row-wise.  `enumerate_in_box` and `has_nonzero_point` are the N = 1 forms
+of `enumerate_in_box_batch` and `has_nonzero_point_batch`.
 
 Strict inequalities follow one policy everywhere (elementwise on arrays):
     value < bound  is evaluated as  value < bound - 1e-12 * max(1, |bound|).
@@ -38,8 +38,8 @@ MAX_EXACT_DIM = 6
 _DET_TOL = 1e-9
 # LLL loop iterations on any one basis before lll_reduce_batch raises CapExceeded
 LLL_MAX_ITERATIONS = 10_000
-# most candidate coefficient rows _enumerate_ball expands and tests at once
-_BLOCK_ROWS = 4096
+# most children one pass of _enumerate_balls expands and tests at once
+_PASS_ROWS = 2048
 
 
 def boundary_tol(bound):
@@ -437,160 +437,169 @@ def lll_reduce_batch(bases: np.ndarray, delta: float = 0.99) -> np.ndarray:
     return np.ascontiguousarray(B.transpose(0, 2, 1))
 
 
-def _enumerate_ball(R: ReducedBasis, center: np.ndarray, radius: float, guard: int):
-    """Integer coefficient vectors c with ||R.B c - center||_2 <= radius.
+def _enumerate_balls(reduced, center, radius: float, guard: int, live=None):
+    """Integer coefficient vectors c with ||R.B c - center||_2 <= radius, for every R of a list.
 
-    Levels d-1..1 are walked depth-first with per-level interval pruning
-    from the QR factorization; each level-0 range is collected instead of
-    walked, and the collected ranges are expanded and leaf-tested in numpy
-    with the scalar walk's float operations.  Yields (k, d) int64 blocks of
-    at most _BLOCK_ROWS candidates' rows, in the scalar walk's
-    lexicographic order of (c_{d-1}, ..., c_0).  Counts every coefficient
-    tried at any level; past `guard` of them it yields the rows found before
-    the offending candidate, then raises CapExceeded.
+    Level by level over all the lattices at once: at level j every live node
+    (a lattice and its coefficients c_{d-1}, ..., c_{j+1}) gets its range of
+    c_j from the QR data, with a scalar walk's float operations in its
+    order, and the ranges are expanded and kept where acc2 + term^2 <=
+    budget2.  A level is expanded at most _PASS_ROWS children at a time, and
+    each such pass runs down to level 0 before the next begins, so the live
+    rows stay bounded and the yielded (C, owner) blocks (C an int64 (k, d)
+    array, owner[i] the index of row i's lattice) list every lattice's rows
+    in the depth-first walk's lexicographic order of (c_{d-1}, ..., c_0),
+    lattice after lattice.  Every coefficient tried at any level counts
+    against its lattice's `guard`, as in that walk; a level is counted
+    before any of it is expanded, and the generator raises CapExceeded as
+    soon as some lattice is past its guard, so read to the end it raises
+    exactly when the scalar walk of some lattice would.  The consumer may
+    clear `live[i]` (a boolean array over the lattices) between blocks;
+    lattice i is then expanded no further.
     """
-    d = R.B.shape[1]
-    T = R.T.tolist()
-    y = (R.signs * (R.Q.T @ center)).tolist()
+    T = np.stack([R.T for R in reduced])
+    y = np.stack([R.signs * (R.Q.T @ center) for R in reduced])
     budget2 = radius * radius * (1.0 + 1e-9) + 1e-12
+    N, d, _ = T.shape
+    seen = np.zeros(N)
 
-    c = [0] * d
-    seen = 0
-    # level-0 ranges as (lo - first row, count, acc2, shift, (c_1, ..., c_{d-1}))
-    ranges = []
-    pending = 0
-
-    def bounds(j, acc2):
-        # residual term at level j: (T[j,j] c_j + sum_{k>j} T[j,k] c_k - y[j])^2
-        partial = 0.0
+    def level(j, owner, acc2, coeffs):
+        # coeffs[:, k] holds c_k for k > j, as exact floats
+        if live is not None:
+            keep = live[owner]
+            owner, acc2, coeffs = owner[keep], acc2[keep], coeffs[keep]
+        Tj = T[owner, j]
+        partial = np.zeros(len(owner))
         for k in range(j + 1, d):
-            partial += T[j][k] * c[k]
-        shift = y[j] - partial
-        room = math.sqrt(max(budget2 - acc2, 0.0))
-        lo = math.ceil((shift - room) / T[j][j] - 1e-12)
-        hi = math.floor((shift + room) / T[j][j] + 1e-12)
-        return shift, lo, hi
+            partial = partial + Tj[:, k] * coeffs[:, k]
+        shift = y[owner, j] - partial
+        room = np.sqrt(np.maximum(budget2 - acc2, 0.0))
+        tjj = Tj[:, j]
+        lo = np.ceil((shift - room) / tjj - 1e-12)
+        counts = np.maximum(np.floor((shift + room) / tjj + 1e-12) - lo + 1.0, 0.0)
+        seen[:] += np.bincount(owner, weights=counts, minlength=N)
+        if np.any(seen > guard):
+            raise CapExceeded(f"ball enumeration guard ({guard}) tripped")
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        total = int(ends[-1]) if len(ends) else 0
+        for begin in range(0, total, _PASS_ROWS):
+            if live is not None and not live[owner].any():
+                return
+            index = np.arange(begin, min(begin + _PASS_ROWS, total), dtype=float)
+            parent = np.searchsorted(ends, index, side="right")
+            cj = lo[parent] + (index - starts[parent])  # exact: |c| < 2^53
+            term = tjj[parent] * cj - shift[parent]
+            below = acc2[parent] + term * term
+            keep = below <= budget2
+            parent = parent[keep]
+            child = coeffs[parent]
+            child[:, j] = cj[keep]
+            if j:
+                yield from level(j - 1, owner[parent], below[keep], child)
+            else:
+                yield child.astype(np.int64), owner[parent]
 
-    def drain():
-        nonlocal pending
-        if ranges:
-            block = _leaf_block(ranges, T[0][0], budget2)
-            ranges.clear()
-            pending = 0
-            if len(block):
-                yield block
-
-    def trip():
-        yield from drain()
-        raise CapExceeded(f"ball enumeration guard ({guard}) tripped")
-
-    def leaf(acc2):
-        nonlocal seen, pending
-        shift, lo, hi = bounds(0, acc2)
-        count = hi - lo + 1
-        if count <= 0:
-            return
-        tripped = seen + count > guard
-        if tripped:
-            count = guard - seen
-        seen += count
-        prefix = tuple(c[1:])
-        while count > 0:
-            take = min(count, _BLOCK_ROWS - pending)
-            ranges.append((lo - pending, take, acc2, shift, prefix))
-            pending += take
-            lo += take
-            count -= take
-            if pending == _BLOCK_ROWS:
-                yield from drain()
-        if tripped:
-            yield from trip()
-
-    def level(j, acc2):
-        nonlocal seen
-        shift, lo, hi = bounds(j, acc2)
-        Tjj = T[j][j]
-        for cj in range(lo, hi + 1):
-            seen += 1
-            if seen > guard:
-                yield from trip()
-            c[j] = cj
-            term = Tjj * cj - shift
-            below = acc2 + term * term
-            if below <= budget2:
-                yield from (level(j - 1, below) if j > 1 else leaf(below))
-        c[j] = 0
-
-    yield from (level(d - 1, 0.0) if d > 1 else leaf(0.0))
-    yield from drain()
+    yield from level(d - 1, np.arange(N), np.zeros(N), np.zeros((N, d)))
 
 
-def _leaf_block(ranges, t00: float, budget2: float) -> np.ndarray:
-    """Expand level-0 ranges into coefficient rows; keep those within the ball.
+def lattices_per_pass(box: Box) -> int:
+    """How many lattices' enumerations of the box make about _PASS_ROWS rows together.
 
-    The test acc2 + term^2 <= budget2 with term = T[0,0] c_0 - shift is the
-    scalar walk's, evaluated elementwise.
+    The box is enumerated through its circumscribed ball, and a ball of
+    volume V holds about V points of a covolume-1 lattice (the Gaussian
+    heuristic).  Callers group lattices by it to bound what one pass holds.
     """
-    rows = np.repeat(
-        np.array([(base, acc2, shift) + prefix for base, _, acc2, shift, prefix in ranges]),
-        [count for _, count, _, _, _ in ranges],
-        axis=0,
-    )
-    c0 = rows[:, 0] + np.arange(len(rows))  # exact: |c| < 2^53
-    term = t00 * c0 - rows[:, 2]
-    keep = rows[:, 1] + term * term <= budget2
-    rows[:, 2] = c0
-    return rows[keep, 2:].astype(np.int64)
+    d, radius = box.d, box.circumradius()
+    volume = math.pi ** (d / 2) * radius**d / math.gamma(d / 2 + 1)
+    return max(1, int(_PASS_ROWS // max(volume, 1.0)))
 
 
-def _nonzero_points(L: UnimodularLattice, center, radius: float, cap: int):
-    """Blocks of nonzero lattice points within `radius` of `center`, from the cached reduction.
+def _enumerate_ball(R: ReducedBasis, center: np.ndarray, radius: float, guard: int):
+    """The N = 1 form of _enumerate_balls: int64 blocks of one lattice's coefficient rows."""
+    for C, _ in _enumerate_balls([R], center, radius, guard):
+        yield C
 
-    Row i of a block is R.B @ c_i: a stacked matrix-vector product runs the
-    single product's kernel, so every row is bit-identical to it (C @ B.T
-    runs another kernel and rounds differently).
+
+def _ball_points(reduced, center, radius: float, cap: int, live=None):
+    """(V, owner) blocks of the nonzero lattice points within `radius` of `center`.
+
+    Row i of V is R.B @ c_i for the reduced basis R = reduced[owner[i]]: a
+    stacked matrix-vector product runs the single product's kernel, so every
+    row is bit-identical to it (C @ B.T runs another kernel and rounds
+    differently).
     """
-    R = L.reduced
+    B = np.stack([R.B for R in reduced])
     guard = max(1_000_000, 50 * cap)
-    for C in _enumerate_ball(R, center, radius, guard):
-        V = np.matmul(R.B, C.astype(float)[:, :, None])[:, :, 0]
-        V = V[~np.all(np.abs(V) < 1e-12, axis=1)]
-        if len(V):
-            yield V
+    for C, owner in _enumerate_balls(reduced, center, radius, guard, live):
+        V = np.matmul(B[owner], C.astype(float)[:, :, None])[:, :, 0]
+        nonzero = np.abs(V[:, 0]) >= 1e-12
+        for k in range(1, V.shape[1]):
+            nonzero |= np.abs(V[:, k]) >= 1e-12
+        if nonzero.any():
+            yield V[nonzero], owner[nonzero]
 
 
-def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
-    """All nonzero lattice points in the box, exactly.
-
-    Returns an array of shape (k, d).  Raises CapExceeded when more than
-    `cap` points qualify (a degenerate query) and DimensionTooLarge for
-    d > 6.
-    """
-    if L.d > MAX_EXACT_DIM:
+def _check_batch(lattices, box: Box, cap: int):
+    if any(L.d > MAX_EXACT_DIM for L in lattices):
         raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    if box.d != L.d:
+    if any(box.d != L.d for L in lattices):
         raise ValidationError("box dimension does not match lattice")
     if cap < 1:
         raise ValidationError("cap must be >= 1")
-    out = []
-    found = 0
-    for V in _nonzero_points(L, box.center(), box.circumradius(), cap):
-        V = V[box.contains_rows(V)]
-        found += len(V)
-        if found > cap:
-            raise CapExceeded(f"more than cap={cap} lattice points in box")
-        out.append(V)
-    if not found:
-        return np.zeros((0, L.d))
-    return np.concatenate(out)
+
+
+def enumerate_in_box_batch(lattices, box: Box, cap: int = 100_000):
+    """All nonzero points in the box of every lattice of a list, exactly.
+
+    Returns (points, owner): points is a (k, d) array, owner[i] the index of
+    the lattice point i belongs to, and each lattice's points come in the
+    order enumerate_in_box gives them.  Raises CapExceeded when more than
+    `cap` points of one lattice qualify (a degenerate query) and
+    DimensionTooLarge for d > 6.
+    """
+    _check_batch(lattices, box, cap)
+    d = box.d
+    points, owners = [np.zeros((0, d))], [np.zeros(0, dtype=np.intp)]
+    found = np.zeros(len(lattices), dtype=np.int64)
+    if lattices:
+        reduced = [L.reduced for L in lattices]
+        for V, owner in _ball_points(reduced, box.center(), box.circumradius(), cap):
+            inside = box.contains_rows(V)
+            V, owner = V[inside], owner[inside]
+            found += np.bincount(owner, minlength=len(lattices))
+            if np.any(found > cap):
+                raise CapExceeded(f"more than cap={cap} lattice points in box")
+            points.append(V)
+            owners.append(owner)
+    return np.concatenate(points), np.concatenate(owners)
+
+
+def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
+    """All nonzero lattice points in the box, exactly: the N = 1 form of enumerate_in_box_batch.
+
+    Returns an array of shape (k, d).
+    """
+    return enumerate_in_box_batch([L], box, cap)[0]
+
+
+def has_nonzero_point_batch(lattices, box: Box, cap: int = 100_000) -> np.ndarray:
+    """For every lattice of a list, whether some nonzero point lies in the box (a bool array).
+
+    A lattice is expanded no further once a point of it is found.
+    """
+    _check_batch(lattices, box, cap)
+    live = np.ones(len(lattices), dtype=bool)
+    if lattices:
+        reduced = [L.reduced for L in lattices]
+        for V, owner in _ball_points(reduced, box.center(), box.circumradius(), cap, live):
+            live[owner[box.contains_rows(V)]] = False
+    return ~live
 
 
 def has_nonzero_point(L: UnimodularLattice, box: Box, cap: int = 100_000) -> bool:
-    """True iff some nonzero lattice point lies in the box (early exit)."""
-    if L.d > MAX_EXACT_DIM:
-        raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    points = _nonzero_points(L, box.center(), box.circumradius(), cap)
-    return any(box.contains_rows(V).any() for V in points)
+    """True iff some nonzero lattice point lies in the box: the N = 1 form of has_nonzero_point_batch."""
+    return bool(has_nonzero_point_batch([L], box, cap)[0])
 
 
 def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
@@ -605,7 +614,7 @@ def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
     bound = float(np.min(np.max(np.abs(L.reduced.B), axis=0)))
     box = Box.closed_cube(bound * (1.0 + 1e-9), L.d)
     best = bound
-    for V in _nonzero_points(L, box.center(), box.circumradius(), cap):
+    for V, _ in _ball_points([L.reduced], box.center(), box.circumradius(), cap):
         best = min(best, float(np.max(np.abs(V), axis=1).min()))
     return best
 

@@ -24,7 +24,7 @@ from .errors import DomainError, ValidationError
 from .exact2d import Exact2D
 from .lattice import WeightPair, apply_flow, lattice_from_matrix, reduce_lattices
 from .rng import sample_torus, substream
-from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profile
+from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profiles
 
 _Z95 = 1.959963984540054
 # samples per lockstep LLL in measure_profile at d >= 3: enough to spread the
@@ -98,8 +98,10 @@ def measure_profile(
 
     Every (kind, r) is validated once as a TargetSpec.  Each sample then
     reads all of them off one membership profile: exact at m = n = 1
-    (Exact2D.membership_profile), float otherwise (targets.membership_profile,
-    on lattices reduced _LLL_CHUNK at a time by one lockstep LLL).
+    (Exact2D.membership_profile), float otherwise.  The float path pushes
+    _LLL_CHUNK samples at a time, reduces them with one lockstep LLL and
+    answers the chunk with one targets.membership_profiles call, whose
+    enumerations and kernel calls each cover many lattices at once.
     """
     if s_push < 5.0:
         raise ValidationError("s_push must be >= 5 (push-time bias guard)")
@@ -143,9 +145,7 @@ def _flowed_profiles(kinds, r_values, w: WeightPair, s_push: float, N: int, seed
             for i in range(start, min(start + _LLL_CHUNK, N))
         ]
         reduce_lattices(chunk)
-        chunk.reverse()
-        while chunk:  # each lattice is released once its profile is read
-            yield membership_profile(chunk.pop(), kinds, r_values, w)
+        yield from membership_profiles(chunk, kinds, r_values, w)
 
 
 def estimate_measure_equidist(

@@ -13,14 +13,17 @@ monotone in s, so endpoints solve in closed form), and the interval sets
 are combined exactly (complement-of-union for cube avoidance, union for
 slab hitting).  `witness_from_logs` is the one copy of those formulas: an
 array kernel over an (N, d) array of log-moduli, each row tagged with the
-query that owns it, so one call answers every (kind, r) of a lattice.
-Since it reads nothing but log-moduli, the float path here (math.log of
-the float coordinates) and the exact d = 2 engine in exact2d (logs of
-exact integers, every window of an orbit in one call) share it.
+query that owns it, so one call answers every (kind, r) of a pass of
+lattices.  Since it reads nothing but log-moduli, the float path here
+(math.log of the float coordinates) and the exact d = 2 engine in exact2d
+(logs of exact integers, every window of an orbit in one call) share it.
 
-`membership_profile` enumerates each lattice at most once and reads every
+`membership_profiles` enumerates each lattice at most once and reads every
 (kind, r) off that one point set: the cubes, slabs and thickening windows
-are all nested in one enumerated cube.
+are all nested in one enumerated cube.  It answers a list of lattices a
+pass at a time (`lattice.lattices_per_pass`), each pass with batched
+enumerations of all its lattices; `membership_profile` is its N = 1 form,
+and `thickened_hits` answers one thickened target per lattice of a list.
 """
 
 from __future__ import annotations
@@ -36,7 +39,9 @@ from .lattice import (
     UnimodularLattice,
     WeightPair,
     enumerate_in_box,
-    has_nonzero_point,
+    enumerate_in_box_batch,
+    has_nonzero_point_batch,
+    lattices_per_pass,
     r_box,
 )
 
@@ -125,30 +130,43 @@ def intersect_intervals(xs, ys):
     return out
 
 
-def witness_from_logs(logs, slab_ok, owner, queries, w: WeightPair):
+def witness_from_logs(logs, slab_ok, owner, queries, w: WeightPair, rows=None):
     """s-subsets of [lo, hi] on which g_s L lies in each query's base target.
 
-    One row per candidate point v of L: logs[i, j] = log|v_j| (an (N, d)
-    array, -inf where v_j = 0), slab_ok[i] says whether v, up to sign, can
-    reach the slab near +e_1, and owner[i] is the index of the query the row
-    belongs to.  A query is (r, primed, lo, hi).  Each flowed coordinate
-    e^{alpha_i s}|v_i| or e^{-beta_j s}|v_j| is monotone in s, so every
-    row's cube-entry and slab-entry s-intervals solve in closed form, one
-    column at a time over all rows; L avoids the cube off the union of the
-    former and, for primed queries, hits the slab on the union of the
-    latter.  Returns one interval list per query.
+    One row per candidate point v: logs[p, j] = log|v_j| (an (P, d) array,
+    -inf where v_j = 0), and slab_ok[p] says whether v, up to sign, can
+    reach the slab near +e_1.  Entry i makes point rows[i] (point i when
+    rows is None) a candidate of query owner[i].  A query is (r, primed,
+    lo, hi).  Each flowed coordinate e^{alpha_i s}|v_i| or e^{-beta_j s}|v_j|
+    is monotone in s, so every candidate's cube-entry and slab-entry
+    s-intervals solve in closed form, one column at a time over all rows;
+    L avoids the cube off the union of the former and, for primed queries,
+    hits the slab on the union of the latter.  Cube-entry endpoints depend
+    on the point and r alone, so they are computed once per (point, r) and
+    shared by every query at that r.  Returns one interval list per query.
     """
+    if not queries:
+        return []
     m, alpha, beta = w.m, w.alpha, w.beta
+    owner = np.asarray(owner, dtype=np.intp)
+    rows = np.arange(owner.size) if rows is None else np.asarray(rows, dtype=np.intp)
     radii = [query[0] for query in queries]
-    r = np.array(radii, dtype=float)[owner]
-    # cube entry: every |v_i| e^{alpha_i s} and |v_j| e^{-beta_j s} below e^-r
-    s_hi = _fold([(-r - x) / a for x, a in zip(logs[:, :m].T, alpha)], np.less)
-    s_lo = _fold([(r + x) / b for x, b in zip(logs[:, m:].T, beta)], np.greater)
-    cube = _by_owner(owner, s_lo, s_hi, len(queries))
+    # cube entry, once per (point, r): every |v_i| e^{alpha_i s} and |v_j| e^{-beta_j s} below e^-r
+    levels = sorted(set(radii))
+    level = {radius: k for k, radius in enumerate(levels)}
+    key = rows * len(levels) + np.array([level[radius] for radius in radii], dtype=np.intp)[owner]
+    used = np.zeros(logs.shape[0] * len(levels), dtype=bool)
+    used[key] = True
+    pairs = np.flatnonzero(used)  # the distinct (point, r), as point * len(levels) + level
+    pair = np.cumsum(used)[key] - 1
+    x, r = logs[pairs // len(levels)], np.array(levels)[pairs % len(levels)]
+    s_hi = _fold([(-r - xi) / a for xi, a in zip(x[:, :m].T, alpha)], np.less)
+    s_lo = _fold([(r + xj) / b for xj, b in zip(x[:, m:].T, beta)], np.greater)
+    cube = _by_owner(owner, s_lo[pair], s_hi[pair], len(queries))
     # slab entry, on the slab_ok rows of primed queries: e^{alpha_0 s}|v_0| in
     # (1 - eps, 1 + eps) and every other flowed coordinate below sqrt r
-    slab_rows = slab_ok & np.array([query[1] for query in queries], dtype=bool)[owner]
-    x, own = logs[slab_rows], owner[slab_rows]
+    slab_rows = slab_ok[rows] & np.array([query[1] for query in queries], dtype=bool)[owner]
+    x, own = logs[rows[slab_rows]], owner[slab_rows]
     eps = [radius / (2 * (m + w.n)) for radius in radii]
     near = np.array([math.log1p(-e) for e in eps])[own]
     far = np.array([math.log1p(e) for e in eps])[own]
@@ -240,71 +258,125 @@ def thickened_witness_intervals(
     return _witness_intervals(candidates, spec)
 
 
+def _witness_table(lattices, table, w: WeightPair, cap: int):
+    """Interval lists of every thickened spec table[i][t] of lattice i.
+
+    Every column t holds one kind.  The candidate cube of the widest window
+    is enumerated for all the lattices at once, and a narrower window's
+    candidates are the rows inside its own cube (the same rows, in the same
+    order, as enumerating that cube).  One kernel call answers the whole
+    table, each (lattice, spec) a query.  Returns (points, owner, found):
+    the enumerated points, the lattice of each, and found[i][t].
+    """
+    for L in lattices:
+        _check_weights(L, w)
+    windows = [spec.window for spec in table[0]]
+    d = lattices[0].d
+    points, owner = enumerate_in_box_batch(lattices, _candidate_cube(max(windows), d), cap=cap)
+    # every point lies in the widest cube (enumerate_in_box_batch applies the same test)
+    inside = {max(windows): np.arange(points.shape[0])}
+    for window in set(windows) - set(inside):
+        inside[window] = np.flatnonzero(_candidate_cube(window, d).contains_rows(points))
+    width = len(windows)
+    rows = np.concatenate([inside[window] for window in windows])
+    query = np.concatenate([owner[inside[window]] * width + t for t, window in enumerate(windows)])
+    found = witness_from_logs(
+        _log_moduli(points), points[:, 0] > 0.0, query,
+        [_query(spec) for specs in table for spec in specs], w, rows,
+    )
+    return points, owner, [found[i : i + width] for i in range(0, len(found), width)]
+
+
+def thickened_hits(lattices, kind: str, radii, w: WeightPair, cap: int = 500_000) -> list:
+    """Membership of lattice i in the thickened target (kind, radii[i]), for every i.
+
+    One _witness_table pass per lattices_per_pass lattices; every answer
+    equals in_target's.
+    """
+    if kind not in _WINDOWS:
+        raise ValidationError(f"{kind!r} is not a thickened kind")
+    specs = [TargetSpec(kind, float(r), w) for r in radii]
+    hits = []
+    if lattices:
+        size = lattices_per_pass(_candidate_cube(_WINDOWS[kind], lattices[0].d))
+        for start in range(0, len(lattices), size):
+            part = slice(start, start + size)
+            _, _, found = _witness_table(lattices[part], [[spec] for spec in specs[part]], w, cap)
+            hits += [bool(row[0]) for row in found]
+    return hits
+
+
+def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: int = 500_000):
+    """Exact membership of every lattice of a list for every (kind, r), lattice by lattice.
+
+    Yields each lattice's profile, a dict keyed by (kind, r) with r_values
+    outer and kinds inner.  The lattices are answered in passes of
+    lattices_per_pass of the largest box a pass enumerates.  A pass makes
+    batched enumerations, one point evaluation per enumerated block, one
+    `contains_rows` pass per cube or slab over all of its rows, and at most
+    one call of the s-interval kernel.  With a thickened kind, the
+    candidate cube of the widest window is enumerated (`_witness_table`)
+    and `sub`/`primed` are read off the same points.  Otherwise an
+    early-exit probe of the smallest open cube e^-r_max comes first: a point
+    there puts a lattice outside every sub(r) and primed(r).  The lattices
+    with no point there take, for a single r, an early-exit probe of its
+    slab, and for several r one enumeration of a closed cube holding every
+    open cube and slab.  Every answer equals the single query's.
+    """
+    specs = [TargetSpec(kind, r, w if kind in _WINDOWS else None) for r in r_values for kind in kinds]
+    if not lattices:
+        return
+    d = lattices[0].d
+    keys = [(spec.kind, spec.r) for spec in specs]
+    thick = [spec for spec in specs if spec.thick]
+    radii = list(dict.fromkeys(spec.r for spec in specs if not spec.thick))
+    cubes = [Box.open_cube(math.exp(-r), d) for r in radii]
+    slabs = [r_box(r, d) for r in radii] if any(spec.kind == KIND_PRIMED for spec in specs) else []
+    size = len(lattices)
+    if thick:
+        size = lattices_per_pass(_candidate_cube(max(spec.window for spec in thick), d))
+    elif radii:
+        half = max(abs(x) for box in cubes + slabs for x in box.lower + box.upper)
+        cover = Box.closed_cube(half, d)  # holds every open cube and slab
+        size = lattices_per_pass(cover)
+    for start in range(0, len(lattices), size):
+        part = lattices[start : start + size]
+        n = len(part)
+        answers = {}  # (kind, r) -> one bool per lattice of the pass
+        points = owner = None
+        if thick:
+            points, owner, found = _witness_table(part, [thick] * n, w, cap)
+            for t, spec in enumerate(thick):
+                answers[(spec.kind, spec.r)] = [bool(ivs[t]) for ivs in found]
+        if radii:
+            in_cube = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in the open cube at r
+            in_slab = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in r_box(r, d)
+            if points is None:
+                probed = has_nonzero_point_batch(part, cubes[radii.index(max(radii))], cap=cap)
+                in_cube[:, probed] = True  # the cube at r_max lies in every other
+                rest = np.flatnonzero(~probed)
+                if rest.size and len(radii) == 1 and slabs:
+                    in_slab[0, rest] = has_nonzero_point_batch([part[i] for i in rest], slabs[0], cap=cap)
+                elif rest.size and len(radii) > 1:
+                    points, owner = enumerate_in_box_batch([part[i] for i in rest], cover, cap=cap)
+                    owner = rest[owner]
+            if points is not None:
+                for hit, boxes in ((in_cube, cubes), (in_slab, slabs)):
+                    for k, box in enumerate(boxes):
+                        hit[k, owner[box.contains_rows(points)]] = True
+            for k, r in enumerate(radii):
+                answers[(KIND_SUB, r)] = (~in_cube[k]).tolist()
+                answers[(KIND_PRIMED, r)] = (~in_cube[k] & in_slab[k]).tolist()
+        columns = [answers[key] for key in keys]
+        for i in range(n):
+            yield {key: column[i] for key, column in zip(keys, columns)}
+
+
 def membership_profile(
     L: UnimodularLattice, kinds, r_values, w: WeightPair | None, cap: int = 500_000
 ) -> dict:
-    """Exact membership of L for every (kind, r), from at most one enumeration.
-
-    With a thickened kind, the candidate cube of the widest window is
-    enumerated and the log-moduli of its points taken once.  A narrower
-    window's candidates are the rows inside its own cube (the same rows, in
-    the same order, as enumerating that cube), one call of the s-interval
-    kernel answers every thickened (kind, r), and `sub`/`primed` are read
-    off the same rows.  Otherwise an early-exit probe of the smallest open
-    cube e^-r_max comes first: a point there puts L outside every sub(r)
-    and primed(r).  If it finds none, a single r takes an early-exit probe
-    of its slab, and several r one enumeration of a closed cube holding
-    every open cube and slab.  Every answer equals the single query's.
-    """
-    specs = [TargetSpec(kind, r, w if kind in _WINDOWS else None) for r in r_values for kind in kinds]
-    windows = sorted({spec.window for spec in specs if spec.thick}, reverse=True)
-    d = L.d
-    points = None
-    witness = {}
-    if windows:
-        _check_weights(L, w)
-        points = enumerate_in_box(L, _candidate_cube(windows[0], d), cap=cap)
-        # every point lies in the widest cube (enumerate_in_box applies the same test)
-        inside = {windows[0]: np.arange(points.shape[0])}
-        for window in windows[1:]:
-            inside[window] = np.flatnonzero(_candidate_cube(window, d).contains_rows(points))
-        thick = [spec for spec in specs if spec.thick]
-        rows = np.concatenate([inside[spec.window] for spec in thick])
-        owner = np.repeat(np.arange(len(thick)), [inside[spec.window].size for spec in thick])
-        found = witness_from_logs(
-            _log_moduli(points)[rows], points[rows, 0] > 0.0, owner, [_query(spec) for spec in thick], w
-        )
-        witness = {(spec.kind, spec.r): bool(ivs) for spec, ivs in zip(thick, found)}
-    radii = list(dict.fromkeys(spec.r for spec in specs if not spec.thick))
-    primed = any(spec.kind == KIND_PRIMED for spec in specs)
-    in_cube = {}  # r -> some nonzero point lies in the open cube (-e^-r, e^-r)^d
-    in_slab = {}  # r -> some nonzero point lies in r_box(r, d)
-    if radii:
-        r_max = max(radii)
-        if points is None and has_nonzero_point(L, Box.open_cube(math.exp(-r_max), d), cap=cap):
-            in_cube = dict.fromkeys(radii, True)  # the cube at r_max lies in every other
-        elif points is None and len(radii) == 1:
-            in_cube = {r_max: False}
-            if primed:
-                in_slab = {r_max: has_nonzero_point(L, r_box(r_max, d), cap=cap)}
-        else:
-            cubes = [Box.open_cube(math.exp(-r), d) for r in radii]
-            slabs = [r_box(r, d) for r in radii] if primed else []
-            if points is None:
-                half = max(abs(x) for box in cubes + slabs for x in box.lower + box.upper)
-                points = enumerate_in_box(L, Box.closed_cube(half, d), cap=cap)
-            in_cube = {r: bool(box.contains_rows(points).any()) for r, box in zip(radii, cubes)}
-            in_slab = {r: bool(box.contains_rows(points).any()) for r, box in zip(radii, slabs)}
-    out = {}
-    for spec in specs:
-        key = (spec.kind, spec.r)
-        if spec.kind == KIND_SUB:
-            out[key] = not in_cube[spec.r]
-        elif spec.kind == KIND_PRIMED:
-            out[key] = not in_cube[spec.r] and in_slab[spec.r]
-        else:
-            out[key] = witness[key]
-    return out
+    """Exact membership of L for every (kind, r): the N = 1 form of membership_profiles."""
+    return next(membership_profiles([L], kinds, r_values, w, cap))
 
 
 def in_target(L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000) -> bool:

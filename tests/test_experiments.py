@@ -22,7 +22,7 @@ from dirichlet_lab import rate
 from dirichlet_lab.exact2d import Exact2D
 from dirichlet_lab.lattice import WeightPair
 from dirichlet_lab.rate import RateFunction, dani_rate, dani_time, s0_of
-from dirichlet_lab.rng import substream
+from dirichlet_lab.rng import sample_torus, substream
 from dirichlet_lab.targets import KIND_PRIMED, TargetSpec, in_target
 
 W11 = WeightPair.unweighted(1, 1)
@@ -174,3 +174,38 @@ def test_crossval_grid_refinement_stability():
         coarse = cross_validate_dani(a, psi, D11, W11, S=10.0, s_step=0.05)
         fine = cross_validate_dani(a, psi, D11, W11, S=10.0, s_step=0.025)
         assert coarse.consistent == fine.consistent
+
+
+def test_float_orbit_and_disjointness_hits_equal_in_target(monkeypatch):
+    # the float orbit series and verify_disjointness answer their flowed lists
+    # in batched passes; every hit equals the lattice's own in_target answer
+    from dirichlet_lab import experiments
+    from dirichlet_lab.lattice import UnimodularLattice
+
+    calls = []
+    batched = experiments.thickened_hits
+
+    def recorded(lattices, kind, radii, w):
+        hits = batched(lattices, kind, radii, w)
+        calls.append((lattices, kind, list(radii), w, hits))
+        return hits
+
+    monkeypatch.setattr(experiments, "thickened_hits", recorded)
+    w21 = WeightPair(alpha=(0.6, 0.4), beta=(1.0,))
+    A21 = sample_torus(substream(94, "worbit", 0), 2, 1)
+    rate21 = RateFunction.constant(0.3, DimensionParams(2, 1), s0=1.0)
+    orbit_hit_series(A21, rate21, VARIANT_NDI, (1, 8), w21, a=0.8)  # the cross-invariants case
+    w12 = WeightPair.unweighted(1, 2)
+    for i in range(4):
+        A12 = sample_torus(substream(95, "worbit-12", i), 1, 2)
+        rate12 = RateFunction.constant(0.3, DimensionParams(1, 2), s0=1.0)
+        for variant in (VARIANT_NDI, VARIANT_UPPER):
+            orbit_hit_series(A12, rate12, variant, (1, 14), w12, a=0.9)
+    verify_disjointness(math.exp(-8.0), D11, W11, 40, seed=77)
+    answers = set()
+    for lattices, kind, radii, w, hits in calls:
+        assert len(hits) == len(lattices) == len(radii)
+        for L, r, hit in zip(lattices, radii, hits):
+            assert hit == in_target(UnimodularLattice(L.basis, L.dims), TargetSpec(kind, r, w))
+            answers.add(hit)
+    assert len(calls) == 1 + 8 + 40 and answers == {False, True}

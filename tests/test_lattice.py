@@ -558,65 +558,144 @@ def _ball_cases():
             yield (m, n, "random-shifted", radius), L, center, radius
 
 
-def test_block_ball_walk_matches_scalar_reference():
+def _stacked_ball_cases():
+    """_ball_cases grouped into stacks that share a dimension, a center and a radius.
+
+    The d = 2 stacks also hold Z^2 flowed to s = 10, whose short basis vector
+    e^-10 e_2 gives one level-0 range of ~44 000 coefficients, longer than
+    a pass, and every stack has a lattice whose ball around a shifted center
+    holds no lattice point.
+    """
+    stacks = {}
     for label, L, center, radius in _ball_cases():
-        R = L.reduced
-        blocks = list(lattice._enumerate_ball(R, center, radius, 10**7))
-        assert all(b.dtype == np.int64 and b.ndim == 2 and len(b) <= lattice._BLOCK_ROWS for b in blocks)
-        rows, _ = _rows_until_cap(blocks)
-        assert rows == list(_enumerate_ball_scalar(R, center, radius, 10**7)), label
+        key = (L.d, tuple(center), radius)
+        stacks.setdefault(key, ([], []))
+        stacks[key][0].append(label)
+        stacks[key][1].append(L)
+    long_range = apply_flow(
+        lattice_from_matrix(np.zeros((1, 1)), DimensionParams(1, 1)), 10.0, WeightPair.unweighted(1, 1)
+    )
+    for (d, center, radius), (labels, lattices) in stacks.items():
+        if d == 2 and radius == 0.9:
+            labels.append("flowed Z^2")
+            lattices.append(long_range)
+        yield labels, lattices, np.array(center), radius
+    for d in range(2, 7):
+        dims = DimensionParams(1, d - 1)
+        lattices = [standard_lattice(dims), random_unimodular(dims, substream(13, "ball-empty", d))]
+        yield ["Z^d empty", "random empty"], lattices, np.full(d, 0.5), 1e-3
+
+
+def _rows_by_owner(blocks, count):
+    """The rows of a stacked walk's (C, owner) blocks, split by lattice."""
+    rows = [[] for _ in range(count)]
+    for C, owner in blocks:
+        assert C.dtype == np.int64 and C.ndim == 2 and len(C) <= lattice._PASS_ROWS
+        assert np.all(np.diff(owner) >= 0)  # lattice after lattice
+        for c, o in zip(C.tolist(), owner.tolist()):
+            rows[o].append(tuple(c))
+    return rows
+
+
+def test_block_ball_walk_matches_scalar_reference():
+    # one stacked walk per (d, center, radius) equals the scalar walk lattice by lattice
+    dims_seen, empty = set(), 0
+    for labels, lattices, center, radius in _stacked_ball_cases():
+        reduced = [L.reduced for L in lattices]
+        blocks = list(lattice._enumerate_balls(reduced, center, radius, 10**7))
+        for label, R, rows in zip(labels, reduced, _rows_by_owner(blocks, len(reduced))):
+            assert rows == list(_enumerate_ball_scalar(R, center, radius, 10**7)), label
+            empty += not rows
+        dims_seen.add(lattices[0].d)
+    assert dims_seen == {2, 3, 4, 5, 6} and empty >= 10
 
 
 def test_block_ball_walk_splits_a_long_innermost_range():
-    # Z^2 flowed to s = 10: the short basis vector e^-10 e_2 gives one level-0
-    # range of ~44 000 coefficients, longer than a block
+    # Z^2 flowed to s = 10: one level-0 range of ~44 000 coefficients, more than a pass;
+    # the N = 1 form yields it in several blocks, in the scalar walk's order
     dims = DimensionParams(1, 1)
     L = apply_flow(lattice_from_matrix(np.zeros((1, 1)), dims), 10.0, WeightPair.unweighted(1, 1))
     R = L.reduced
     blocks = list(lattice._enumerate_ball(R, np.zeros(2), 1.0, 10**7))
-    assert len(blocks) > 1
+    assert len(blocks) > 1 and all(len(b) <= lattice._PASS_ROWS for b in blocks)
     rows, _ = _rows_until_cap(blocks)
-    assert len(rows) > lattice._BLOCK_ROWS
+    assert len(rows) > lattice._PASS_ROWS
     assert rows == list(_enumerate_ball_scalar(R, np.zeros(2), 1.0, 10**7))
 
 
 @pytest.mark.parametrize("guard", [1, 7, 60, 500, 5000])
 def test_block_ball_walk_guard_matches_scalar_reference(guard):
-    # the block walk yields exactly the rows the scalar walk yields before the
-    # guard trips, then raises
-    cases = [
-        (L, center, radius)
-        for label, L, center, radius in _ball_cases()
-        if label[0] + label[1] <= 4 and label[2] in (0.0, 15.0, "random")
+    # a walk raises CapExceeded exactly when the scalar walk, read to the end,
+    # trips its guard: alone, and in a stack as soon as one lattice of it does
+    # (the level-by-level walk counts a level before expanding it, so the rows
+    # it yields before raising are not the scalar walk's)
+    stacks = [
+        (lattices, center, radius)
+        for labels, lattices, center, radius in _stacked_ball_cases()
+        if lattices[0].d <= 4 and radius != 1e-3
     ]
-    dims = DimensionParams(1, 1)
-    long_range = apply_flow(lattice_from_matrix(np.zeros((1, 1)), dims), 10.0, WeightPair.unweighted(1, 1))
-    cases.append((long_range, np.zeros(2), 1.0))
-    trips = 0
-    for L, center, radius in cases:
-        R = L.reduced
-        block_rows, block_tripped = _rows_until_cap(lattice._enumerate_ball(R, center, radius, guard))
-        scalar_rows, scalar_tripped = _rows_until_cap(_enumerate_ball_scalar(R, center, radius, guard))
-        assert (block_rows, block_tripped) == (scalar_rows, scalar_tripped)
-        trips += block_tripped
-    assert trips > 0
+    trips = clean = 0
+    for lattices, center, radius in stacks:
+        reduced = [L.reduced for L in lattices]
+        tripped = [_rows_until_cap(_enumerate_ball_scalar(R, center, radius, guard))[1] for R in reduced]
+        for R, scalar_tripped in zip(reduced, tripped):
+            rows, block_tripped = _rows_until_cap(lattice._enumerate_ball(R, center, radius, guard))
+            assert block_tripped == scalar_tripped
+            if not block_tripped:
+                assert rows == list(_enumerate_ball_scalar(R, center, radius, guard))
+            trips += block_tripped
+        stacked = lattice._enumerate_balls(reduced, center, radius, guard)
+        if any(tripped):
+            with pytest.raises(CapExceeded):
+                list(stacked)
+        else:
+            list(stacked)
+            clean += 1
+    assert trips > 0 and (clean > 0 or guard == 1)
 
 
 def test_stacked_points_equal_single_products():
-    for label, L, center, radius in _ball_cases():
-        R = L.reduced
+    for labels, lattices, center, radius in _stacked_ball_cases():
+        reduced = [L.reduced for L in lattices]
         expected = [
-            R.B @ np.array(c, dtype=float)
-            for c in _enumerate_ball_scalar(R, center, radius, 10**7)
+            [
+                v
+                for v in (R.B @ np.array(c, dtype=float) for c in _enumerate_ball_scalar(R, center, radius, 10**7))
+                if not all(abs(x) < 1e-12 for x in v)
+            ]
+            for R in reduced
         ]
-        expected = [v for v in expected if not all(abs(x) < 1e-12 for x in v)]
-        got = list(lattice._nonzero_points(L, center, radius, 100_000))
-        if not expected:
-            assert not got, label
-            continue
-        got = np.concatenate(got)
-        assert got.shape == (len(expected), L.d), label
-        assert np.array_equal(got, np.array(expected)), label  # bit for bit
+        got = [[] for _ in reduced]
+        for V, owner in lattice._ball_points(reduced, center, radius, 100_000):
+            for v, o in zip(V, owner.tolist()):
+                got[o].append(v)
+        for label, want, have in zip(labels, expected, got):
+            assert len(have) == len(want), label
+            if want:
+                assert np.array_equal(np.array(have), np.array(want)), label  # bit for bit
+
+
+def test_batch_queries_equal_their_single_forms():
+    dims = DimensionParams(1, 2)
+    w = WeightPair.unweighted(1, 2)
+    lattices = [
+        apply_flow(lattice_from_matrix(sample_torus(substream(13, "batch-box", i), 1, 2), dims), 8.0, w)
+        for i in range(40)
+    ]
+    lattice.reduce_lattices(lattices)
+    answers = set()
+    for box in (Box.open_cube(0.8, 3), Box.closed_cube(1.2, 3), lattice.r_box(0.3, 3), Box.closed_cube(2.7, 3)):
+        points, owner = lattice.enumerate_in_box_batch(lattices, box)
+        hits = lattice.has_nonzero_point_batch(lattices, box)
+        for i, L in enumerate(lattices):
+            alone = UnimodularLattice(L.basis, dims)  # no seeded reduction
+            assert np.array_equal(points[owner == i], enumerate_in_box(alone, box))
+            assert hits[i] == lattice.has_nonzero_point(alone, box) == bool(np.any(owner == i))
+        answers.update(hits.tolist())
+    assert answers == {False, True}
+    with pytest.raises(CapExceeded):
+        lattice.enumerate_in_box_batch(lattices, Box.closed_cube(2.7, 3), cap=20)
+    assert lattice.enumerate_in_box_batch([], Box.closed_cube(1.0, 3))[0].shape == (0, 3)
 
 
 def _contains_scalar(box, v):

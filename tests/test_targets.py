@@ -16,6 +16,7 @@ from dirichlet_lab.lattice import (
     lattice_from_matrix,
     r_box,
     random_unimodular,
+    reduce_lattices,
     standard_lattice,
 )
 from dirichlet_lab.rng import sample_torus, substream
@@ -30,6 +31,7 @@ from dirichlet_lab.targets import (
     in_target_grid_oracle,
     intersect_intervals,
     membership_profile,
+    membership_profiles,
     merge_intervals,
     thickened_witness_intervals,
     witness_from_logs,
@@ -235,6 +237,42 @@ def test_membership_profile_matches_separate_enumerations(w):
         assert 0 < seen[kind] < 24 * len(radii), kind
 
 
+_KIND_MIXES = [
+    ([KIND_SUB, KIND_PRIMED], [0.02 * 10 ** (i / 7) for i in range(8)]),
+    ([KIND_THICK, KIND_THICK_PRIMED], [0.2]),
+    ([KIND_THICK], [0.1, 0.4]),
+    ([KIND_THICK_PRIMED, KIND_SUB], [0.1, 0.4]),
+    ([KIND_SUB, KIND_PRIMED], [0.9]),  # the slab probe
+    ([KIND_PRIMED], [0.6]),
+]
+
+
+@pytest.mark.parametrize("m,n", [(1, 2), (2, 2)])
+def test_membership_profiles_equal_per_lattice_profiles(m, n):
+    # every pass of the batched profile answers as the single lattice's own
+    # profile, whatever the chunk; the samples reach both answers of every kind
+    dims = DimensionParams(m, n)
+    w = WeightPair.unweighted(m, n)
+    bases = [
+        apply_flow(lattice_from_matrix(sample_torus(substream(28, f"chunks-{m}{n}", i), m, n), dims), s, w).basis
+        for i in range(30)
+        for s in (6.0, 10.0)
+    ]
+    seen = set()
+    for kinds, radii in _KIND_MIXES:
+        want = [membership_profile(UnimodularLattice(b, dims), kinds, radii, w) for b in bases]
+        seen.update((kind, hit) for profile in want for (kind, _), hit in profile.items())
+        for chunk in (1, 7, 256):
+            got = []
+            for start in range(0, len(bases), chunk):
+                part = [UnimodularLattice(b, dims) for b in bases[start : start + chunk]]
+                reduce_lattices(part)
+                got += list(membership_profiles(part, kinds, radii, w))
+            assert got == want, (kinds, radii, chunk)
+    kinds = {kind for mix, _ in _KIND_MIXES for kind in mix}
+    assert seen == {(kind, hit) for kind in kinds for hit in (False, True)}
+
+
 def test_cusp_lattice_profile_exits_early(monkeypatch):
     # A = 0 flowed to s = 15: the cube of half-width ~1 holds ~1e7 lattice
     # points, but the probe of the smallest cube finds one at once
@@ -245,7 +283,7 @@ def test_cusp_lattice_profile_exits_early(monkeypatch):
     def no_box_enumeration(*args, **kwargs):
         raise AssertionError("membership_profile enumerated a box")
 
-    monkeypatch.setattr(targets, "enumerate_in_box", no_box_enumeration)
+    monkeypatch.setattr(targets, "enumerate_in_box_batch", no_box_enumeration)
     radii = [0.02, 0.05, 0.1, 0.2]
     profile = membership_profile(L, [KIND_SUB, KIND_PRIMED], radii, w)
     assert profile == {(kind, r): False for r in radii for kind in (KIND_SUB, KIND_PRIMED)}
@@ -366,6 +404,17 @@ def test_grouped_kernel_equals_one_call_per_query(w):
         )
         assert repr(got) == repr(singles)
         assert got[-2:] == [[(0.0, 1.0)], []]  # a query without rows: sub holds, primed fails
+        # the same queries over one table of distinct points, each entry naming its point:
+        # thick and thick_primed at one r share the cube-entry endpoints of the e^0.5 cube
+        points = groups[0][0]
+        inside = np.flatnonzero(targets._candidate_cube(0.5, dims.d).contains_rows(points))
+        assert np.array_equal(points[inside], groups[4][0])
+        entries = [np.arange(len(points))] * 4 + [inside] * 4 + [inside[:0]] * 2
+        point = np.concatenate(entries)[order]
+        shared = witness_from_logs(
+            targets._log_moduli(points), points[:, 0] > 0.0, owner, [query for _, query in groups], w, point
+        )
+        assert repr(shared) == repr(singles)
 
 
 def test_membership_profile_answers_every_thick_query_from_one_kernel_call(monkeypatch):
