@@ -53,6 +53,7 @@ from .lattice import (
     apply_flow,
     delta,
     enumerate_in_box,
+    flowed_lattices,
     lattice_from_matrix,
     shortest_sup_norm,
     weighted_quasi_norm,
@@ -69,5 +70,5 @@ from .mc import (
     wilson_interval,
 )
 from .rate import RateFunction, clamp_rate, dani_rate, dani_time, rho_schedule
-from .rng import sample_torus, sample_torus_fixedpoint, substream
+from .rng import sample_torus, sample_torus_fixedpoint, substream, torus_samples
 from .targets import TargetSpec, in_target, membership_profile

@@ -37,7 +37,7 @@ from .mc import fit_scaling, measure_profile
 from .parallel import indexed_map
 from .rate import s0_of
 from .reports import write_csv, write_json, write_plot_data, write_run_manifest
-from .rng import sample_torus, substream
+from .rng import torus_samples
 from .targets import KIND_PRIMED, KIND_SUB
 
 
@@ -388,9 +388,10 @@ def _run_crossval(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
     S = cfg.get_float("crossval.S", 20.0)
     ensemble = cfg.get_int("ensemble", 100)
     table = dani_table(psi, dims, S, cfg.get_float("crossval.s_step", 0.05))
+    alphas = torus_samples(seed, "crossval", 0, ensemble, 1, 1).ravel().tolist()
 
     def member(idx: int):
-        a = float(sample_torus(substream(seed, "crossval", idx), 1, 1)[0, 0])
+        a = alphas[idx]
         rep = cross_validate_dani(a, psi, dims, w, S, rate_table=table)
         return a, rep
 

@@ -27,6 +27,7 @@ from .lattice import (
     UnimodularLattice,
     WeightPair,
     apply_flow,
+    flowed_lattices,
     lattice_from_matrix,
     reduce_lattices,
 )
@@ -127,7 +128,7 @@ def orbit_hit_series(
                 f"float-basis orbits are only exact up to flow time {FLOAT_FLOW_HORIZON}"
             )
         L = lattice_from_matrix(np.asarray(A, dtype=float), w.dims)
-        flowed = [apply_flow(L, float(k), w) for k in range(k_lo, k_hi + 1)]
+        flowed = flowed_lattices(L.basis, np.arange(k_lo, k_hi + 1, dtype=float), w)
         reduce_lattices(flowed)
         hits[:] = thickened_hits(flowed, kind, radii.tolist(), w)
     constants = {"C_r": C_r, "omega1": w.omega1, "omega2": w.omega2, "a": a}
@@ -281,7 +282,7 @@ def verify_disjointness(
         base = construct_primed_lattice(r, dims, c0=c0, rng=rng)
         u = float(rng.uniform(0.0, 0.5))
         member = apply_flow(base, -u, w)  # lies in the thickened primed set
-        flowed = [apply_flow(member, float(k), w) for k in range(1, J + 1)]
+        flowed = flowed_lattices(member.basis, np.arange(1, J + 1, dtype=float), w)
         reduce_lattices(flowed)
         for k, hit in enumerate(thickened_hits(flowed, spec.kind, [spec.r] * J, w), start=1):
             if hit:

@@ -112,8 +112,9 @@ class WeightPair:
     def beta_max(self):
         return max(self.beta)
 
-    def flow_exponents(self, s: float) -> np.ndarray:
-        return np.array([a * s for a in self.alpha] + [-b * s for b in self.beta])
+    def flow_exponents(self, s) -> np.ndarray:
+        """(alpha_i s, -beta_j s) for a time s, one row per time for a vector s."""
+        return np.multiply.outer(s, self.alpha + tuple(-b for b in self.beta))
 
 
 def weighted_quasi_norm(x, weights) -> float:
@@ -140,13 +141,26 @@ class UnimodularLattice:
             raise ValidationError("basis must be a square matrix")
         if basis.shape[0] != self.dims.d:
             raise ValidationError("basis size does not match dims")
-        if not np.all(np.isfinite(basis)):
-            raise ValidationError("basis entries must be finite")
-        det = np.linalg.det(basis)
-        if abs(abs(det) - 1.0) > _DET_TOL * max(1.0, abs(det)):
-            raise ValidationError(f"|det(basis)| = {abs(det)} is not 1 within 1e-9")
+        _check_unimodular(basis[None])
         basis.setflags(write=False)
         object.__setattr__(self, "basis", basis)
+
+    @classmethod
+    def _stack(cls, bases: np.ndarray, dims: DimensionParams) -> list:
+        """One lattice per basis of a fresh float (N, d, d) stack whose shape
+        the caller has checked.
+
+        The unimodularity checks of __post_init__ run once on the whole stack
+        (one finiteness check, one stacked det), not once per lattice.
+        """
+        _check_unimodular(bases)
+        bases.setflags(write=False)
+        lattices = []
+        for basis in bases:
+            L = object.__new__(cls)
+            L.__dict__.update(basis=basis, dims=dims)  # frozen: bypass __setattr__
+            lattices.append(L)
+        return lattices
 
     @property
     def d(self) -> int:
@@ -157,6 +171,22 @@ class UnimodularLattice:
         """LLL basis and its QR data, computed once per lattice on first use
         unless `reduce_lattices` seeded it."""
         return ReducedBasis.stack(lll_reduce(self.basis)[None])[0]
+
+
+def _off_unimodular(bases):
+    """|det| of every basis of an (N, d, d) stack, and where it is off 1
+    by more than the tolerance."""
+    det = np.abs(np.linalg.det(bases))
+    return det, np.abs(det - 1.0) > _DET_TOL * np.maximum(1.0, det)
+
+
+def _check_unimodular(bases) -> None:
+    """UnimodularLattice's entry checks, for a whole (N, d, d) stack."""
+    if not np.all(np.isfinite(bases)):
+        raise ValidationError("basis entries must be finite")
+    det, off = _off_unimodular(bases)
+    if off.any():
+        raise ValidationError(f"|det(basis)| = {det[off][0]} is not 1 within 1e-9")
 
 
 def reduce_lattices(lattices) -> None:
@@ -193,8 +223,7 @@ class ReducedBasis:
         BudgetExceeded when a reduced basis has drifted off |det| = 1: the
         float LLL ran out of precision and no longer spans the lattice.
         """
-        det = np.abs(np.linalg.det(B))
-        drift = np.abs(det - 1.0) > _DET_TOL * np.maximum(1.0, det)
+        det, drift = _off_unimodular(B)
         if drift.any():
             raise BudgetExceeded(f"LLL basis has |det| = {det[drift][0]}, not 1 within 1e-9")
         Q, T = np.linalg.qr(B)
@@ -210,6 +239,17 @@ def standard_lattice(dims: DimensionParams) -> UnimodularLattice:
     return UnimodularLattice(np.eye(dims.d), dims)
 
 
+def matrix_bases(A) -> np.ndarray:
+    """The bases [[I_m, A], [0, I_n]] of an (N, m, n) stack of matrices A;
+    each det is exactly 1."""
+    N, m, n = A.shape
+    d = m + n
+    bases = np.zeros((N, d, d))
+    bases[:, range(d), range(d)] = 1.0
+    bases[:, :m, m:] = A
+    return bases
+
+
 def lattice_from_matrix(A, dims: DimensionParams | None = None) -> UnimodularLattice:
     """Lattice with basis [[I_m, A], [0, I_n]] acting on Z^d; det is exactly 1."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -218,19 +258,37 @@ def lattice_from_matrix(A, dims: DimensionParams | None = None) -> UnimodularLat
         dims = DimensionParams(m, n)
     elif (dims.m, dims.n) != (m, n):
         raise ValidationError("matrix shape does not match dims")
-    basis = np.eye(m + n)
-    basis[:m, m:] = A
-    return UnimodularLattice(basis, dims)
+    return UnimodularLattice(matrix_bases(A[None])[0], dims)
+
+
+def flowed_lattices(bases, s, w: WeightPair) -> list:
+    """g_s = diag(e^{alpha_i s}, e^{-beta_j s}) applied to a stack of bases.
+
+    Either every basis of an (N, d, d) stack at one time s, or one (d, d)
+    basis at every time of a vector s.  Each lattice is bit-equal to what
+    the per-lattice flow of the same basis gives; the lattice checks run
+    once per stack.
+    """
+    s = np.asarray(s, dtype=float)
+    if np.any(np.abs(s) > 500):
+        raise DomainError("flow time |s| > 500 would overflow the basis")
+    dims = w.dims
+    bases = np.asarray(bases, dtype=float)
+    if s.ndim > 1 or bases.ndim != 3 - s.ndim or bases.shape[-2:] != (dims.d, dims.d):
+        raise ValidationError(
+            "need an (N, d, d) stack at one s, or one (d, d) basis at a vector of s, "
+            f"with d = {dims.d} for these weights"
+        )
+    scale = np.exp(w.flow_exponents(s))
+    return UnimodularLattice._stack(scale[..., None] * bases, dims)
 
 
 def apply_flow(L: UnimodularLattice, s: float, w: WeightPair) -> UnimodularLattice:
-    """diag(e^{alpha_i s}, e^{-beta_j s}) * L; unimodularity is preserved."""
-    if abs(s) > 500:
-        raise DomainError("flow time |s| > 500 would overflow the basis")
+    """diag(e^{alpha_i s}, e^{-beta_j s}) * L; unimodularity is preserved.
+    The N = 1 form of `flowed_lattices`."""
     if (w.m, w.n) != (L.dims.m, L.dims.n):
         raise ValidationError("weight dimensions do not match the lattice")
-    scale = np.exp(w.flow_exponents(s))
-    return UnimodularLattice(scale[:, None] * L.basis, L.dims)
+    return flowed_lattices(L.basis[None], s, w)[0]
 
 
 def random_unimodular(dims: DimensionParams, rng, shears: int = 8, magnitude: int = 3):

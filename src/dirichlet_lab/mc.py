@@ -8,7 +8,10 @@ estimates at different push times rather than by a closed-form bound.
 
 Every sample i draws from substream(seed, label, i): estimates are
 bit-identical regardless of evaluation order, and common random numbers
-across an r-grid come for free by reusing (seed, label).
+across an r-grid come for free by reusing (seed, label).  The samples are
+drawn _LLL_CHUNK indices at a time by rng.torus_samples, whose row i is
+bit-equal to sample_torus(substream(seed, label, i), m, n), and at d >= 3
+each chunk is pushed as one stack (lattice.flowed_lattices).
 """
 
 from __future__ import annotations
@@ -22,13 +25,14 @@ import numpy as np
 from .approx import DimensionParams
 from .errors import DomainError, ValidationError
 from .exact2d import Exact2D
-from .lattice import WeightPair, apply_flow, lattice_from_matrix, reduce_lattices
-from .rng import sample_torus, substream
+from .lattice import WeightPair, flowed_lattices, matrix_bases, reduce_lattices
+from .rng import substream, torus_samples
 from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profiles
 
 _Z95 = 1.959963984540054
-# samples per lockstep LLL in measure_profile at d >= 3: enough to spread the
-# kernel's per-pass overhead, few enough that the chunk's lattices stay small
+# samples drawn (and, at d >= 3, pushed and reduced by one lockstep LLL) at a
+# time: enough to spread the per-pass overhead, few enough that a chunk's
+# lattices stay small
 _LLL_CHUNK = 256
 
 # zeta(2)..zeta(6); enumeration is capped at d = 6 anyway
@@ -98,10 +102,11 @@ def measure_profile(
 
     Every (kind, r) is validated once as a TargetSpec.  Each sample then
     reads all of them off one membership profile: exact at m = n = 1
-    (Exact2D.membership_profile), float otherwise.  The float path pushes
-    _LLL_CHUNK samples at a time, reduces them with one lockstep LLL and
-    answers the chunk with one targets.membership_profiles call, whose
-    enumerations and kernel calls each cover many lattices at once.
+    (Exact2D.membership_profile), float otherwise.  Samples are drawn
+    _LLL_CHUNK at a time.  The float path pushes each chunk as one stack,
+    reduces it with one lockstep LLL and answers it with one
+    targets.membership_profiles call, whose enumerations and kernel calls
+    each cover many lattices at once.
     """
     if s_push < 5.0:
         raise ValidationError("s_push must be >= 5 (push-time bias guard)")
@@ -114,10 +119,8 @@ def measure_profile(
     dims = w.dims
     if dims.m == 1 and dims.n == 1:
         profiles = (
-            Exact2D.of(sample_torus(substream(seed, label, i), 1, 1)).membership_profile(
-                s_push, kinds, r_values
-            )
-            for i in range(N)
+            Exact2D.of(a).membership_profile(s_push, kinds, r_values)
+            for a in _scalar_samples(seed, label, N)
         )
     else:
         profiles = _flowed_profiles(kinds, r_values, w, s_push, N, seed, label)
@@ -132,18 +135,22 @@ def measure_profile(
     }
 
 
+def _torus_chunks(seed: int, label: str, N: int, m: int, n: int):
+    """The torus samples of indices 0..N-1, as _LLL_CHUNK-row stacks."""
+    for start in range(0, N, _LLL_CHUNK):
+        yield torus_samples(seed, label, start, min(start + _LLL_CHUNK, N), m, n)
+
+
+def _scalar_samples(seed: int, label: str, N: int):
+    """The m = n = 1 torus samples of indices 0..N-1, as floats."""
+    for A in _torus_chunks(seed, label, N, 1, 1):
+        yield from A.ravel().tolist()
+
+
 def _flowed_profiles(kinds, r_values, w: WeightPair, s_push: float, N: int, seed: int, label: str):
     """Membership profile of every pushed sample lattice, in sample order."""
-    dims = w.dims
-    for start in range(0, N, _LLL_CHUNK):
-        chunk = [
-            apply_flow(
-                lattice_from_matrix(sample_torus(substream(seed, label, i), dims.m, dims.n), dims),
-                s_push,
-                w,
-            )
-            for i in range(start, min(start + _LLL_CHUNK, N))
-        ]
+    for A in _torus_chunks(seed, label, N, w.m, w.n):
+        chunk = flowed_lattices(matrix_bases(A), s_push, w)
         reduce_lattices(chunk)
         yield from membership_profiles(chunk, kinds, r_values, w)
 
@@ -398,13 +405,11 @@ def pair_correlation(
     r_j = 2.0 * float(rho(j))
     window = _WINDOWS[KIND_THICK_PRIMED]
     c_i = c_j = c_ij = 0
-    for idx in range(N):
-        ex1 = Exact2D.of(sample_torus(substream(seed, label, idx), 1, 1))
+    second = _scalar_samples(seed, label + "-indep", N) if independent else None
+    for a in _scalar_samples(seed, label, N):
+        ex1 = Exact2D.of(a)
         h_i = ex1.hits_thick(float(i), window, r_i, primed=True)
-        if independent:
-            ex2 = Exact2D.of(sample_torus(substream(seed, label + "-indep", idx), 1, 1))
-        else:
-            ex2 = ex1
+        ex2 = Exact2D.of(next(second)) if independent else ex1
         h_j = ex2.hits_thick(float(j), window, r_j, primed=True)
         c_i += h_i
         c_j += h_j

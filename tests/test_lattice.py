@@ -7,7 +7,13 @@ from hypothesis import strategies as st
 
 from dirichlet_lab import lattice
 from dirichlet_lab.approx import DimensionParams
-from dirichlet_lab.errors import BudgetExceeded, CapExceeded, DimensionTooLarge, ValidationError
+from dirichlet_lab.errors import (
+    BudgetExceeded,
+    CapExceeded,
+    DimensionTooLarge,
+    DomainError,
+    ValidationError,
+)
 from dirichlet_lab.lattice import (
     Box,
     UnimodularLattice,
@@ -750,3 +756,72 @@ def test_contains_rows_matches_scalar_test_at_every_face(lower, upper):
         assert np.array_equal(rows, expected), flags
         assert 0 < expected.sum() < len(V)
         assert [box.contains(v) for v in V] == expected.tolist()
+
+
+def _pushed_by_formula(A, s, w):
+    """g_s [[I, A], [0, I]] built entry by entry, as one lattice at a time was built."""
+    m, n = A.shape
+    basis = np.eye(m + n)
+    basis[:m, m:] = A
+    scale = np.exp(np.array([a * s for a in w.alpha] + [-b * s for b in w.beta]))
+    return scale[:, None] * basis
+
+
+@pytest.mark.parametrize(
+    "w",
+    [
+        WeightPair.unweighted(1, 2),
+        WeightPair.unweighted(2, 1),
+        WeightPair((0.3, 0.7), (1.0,)),
+        WeightPair.unweighted(2, 2),
+        WeightPair((1.0,), (0.2, 0.3, 0.5)),
+        WeightPair((0.25, 0.75), (0.6, 0.4)),
+    ],
+)
+def test_flowed_lattices_bit_equal_to_one_lattice_at_a_time(w):
+    dims = w.dims
+    A = np.stack([sample_torus(substream(14, f"push-{w}", i), w.m, w.n) for i in range(60)])
+    for s in (5.0, 10.0, -2.5):
+        stack = lattice.flowed_lattices(lattice.matrix_bases(A), s, w)
+        assert len(stack) == len(A)
+        for a, L in zip(A, stack):
+            assert L.dims == dims
+            assert L.basis.tobytes() == apply_flow(lattice_from_matrix(a, dims), s, w).basis.tobytes()
+            assert L.basis.tobytes() == _pushed_by_formula(a, s, w).tobytes()
+            assert not L.basis.flags.writeable
+    # one basis at a vector of times
+    s = np.array([0.0, 1.0, 2.5, 7.0, 15.0])
+    series = lattice.flowed_lattices(lattice_from_matrix(A[0], dims).basis, s, w)
+    assert len(series) == len(s)
+    for t, L in zip(s.tolist(), series):
+        assert L.basis.tobytes() == apply_flow(lattice_from_matrix(A[0], dims), t, w).basis.tobytes()
+        assert L.basis.tobytes() == _pushed_by_formula(A[0], t, w).tobytes()
+
+
+def test_flowed_lattices_raise_what_one_lattice_raises():
+    w = WeightPair.unweighted(1, 2)
+    A = np.stack([sample_torus(substream(15, "push-guards", i), 1, 2) for i in range(4)])
+    bases = lattice.matrix_bases(A)
+    with pytest.raises(DomainError):
+        lattice.flowed_lattices(bases, 500.5, w)
+    with pytest.raises(DomainError):
+        lattice.flowed_lattices(bases[0], np.array([1.0, -501.0]), w)
+    with pytest.raises(DomainError):
+        apply_flow(lattice_from_matrix(A[0]), 500.5, w)
+    bad = A.copy()
+    bad[2, 0, 1] = np.nan
+    with pytest.raises(ValidationError):
+        lattice.flowed_lattices(lattice.matrix_bases(bad), 3.0, w)
+    with pytest.raises(ValidationError):
+        lattice_from_matrix(bad[2])
+    for other in (WeightPair.unweighted(1, 1), WeightPair.unweighted(2, 2)):
+        with pytest.raises(ValidationError):
+            lattice.flowed_lattices(bases, 3.0, other)
+        with pytest.raises(ValidationError):
+            apply_flow(lattice_from_matrix(A[0]), 3.0, other)
+    with pytest.raises(ValidationError):  # same d, other (m, n)
+        apply_flow(lattice_from_matrix(A[0]), 3.0, WeightPair.unweighted(2, 1))
+    with pytest.raises(ValidationError):  # a stack at a vector of times
+        lattice.flowed_lattices(bases, np.array([1.0, 2.0]), w)
+    with pytest.raises(ValidationError):  # off |det| = 1, as UnimodularLattice refuses
+        lattice.flowed_lattices(2.0 * bases, 3.0, w)

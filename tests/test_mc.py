@@ -19,7 +19,7 @@ from dirichlet_lab.mc import (
     wilson_interval,
 )
 from dirichlet_lab.rate import RateFunction
-from dirichlet_lab.rng import substream
+from dirichlet_lab.rng import sample_torus, substream
 from dirichlet_lab.targets import KIND_PRIMED, KIND_SUB, TargetSpec, in_target
 
 W11 = WeightPair.unweighted(1, 1)
@@ -215,3 +215,22 @@ def test_measure_profile_does_not_depend_on_the_lll_chunk(monkeypatch, chunk):
     want = measure_profile(*args, seed=4)
     monkeypatch.setattr(mc, "_LLL_CHUNK", chunk)
     assert measure_profile(*args, seed=4) == want
+
+
+def test_measure_profile_d3_matches_a_per_sample_loop():
+    # N = 1000 leaves a last chunk of 1000 - 3 * 256 = 232 samples
+    w = WeightPair.unweighted(1, 2)
+    dims = w.dims
+    kinds, radii = [KIND_SUB, KIND_PRIMED], [0.08, 0.2]
+    profile = measure_profile(kinds, radii, w, 10.0, 1000, seed=21)
+    assert 1000 % mc._LLL_CHUNK == 232
+    scale = np.exp(np.array([a * 10.0 for a in w.alpha] + [-b * 10.0 for b in w.beta]))
+    counts = dict.fromkeys(profile, 0)
+    for i in range(1000):
+        basis = np.eye(3)
+        basis[:1, 1:] = sample_torus(substream(21, "measure", i), 1, 2)
+        L = UnimodularLattice(scale[:, None] * UnimodularLattice(basis, dims).basis, dims)
+        for kind, r in counts:
+            counts[(kind, r)] += in_target(L, TargetSpec(kind, r, w))
+    assert {key: est.mean for key, est in profile.items()} == {key: c / 1000 for key, c in counts.items()}
+    assert counts[(KIND_SUB, 0.2)] > 0

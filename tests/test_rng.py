@@ -1,7 +1,8 @@
+import numpy as np
 import pytest
 
 from dirichlet_lab.errors import ValidationError
-from dirichlet_lab.rng import sample_torus, sample_torus_fixedpoint, substream
+from dirichlet_lab.rng import sample_torus, sample_torus_fixedpoint, substream, torus_samples
 
 # Golden values pin the concrete generator (Philox keyed by sha256 of
 # "seed|label|index").  If any of these change, every seeded experiment
@@ -78,3 +79,22 @@ def test_fixedpoint_deterministic():
     a, _ = sample_torus_fixedpoint(substream(5, "fp", 1), 1, 1, bits=320)
     b, _ = sample_torus_fixedpoint(substream(5, "fp", 1), 1, 1, bits=320)
     assert a == b
+
+
+@pytest.mark.parametrize("m,n", [(1, 1), (1, 2), (2, 1), (2, 2)])
+@pytest.mark.parametrize("start", [0, 255])
+@pytest.mark.parametrize("label", ["measure", "torus-stack"])
+def test_torus_samples_bit_equal_to_substreams(m, n, start, label):
+    stack = torus_samples(9, label, start, start + 40, m, n)
+    want = np.stack([sample_torus(substream(9, label, i), m, n) for i in range(start, start + 40)])
+    assert stack.shape == (40, m, n)
+    assert stack.tobytes() == want.tobytes()
+
+
+def test_torus_samples_empty_range():
+    assert torus_samples(9, "measure", 17, 17, 2, 3).shape == (0, 2, 3)
+
+
+def test_torus_samples_negative_start_rejected():
+    with pytest.raises(ValidationError):
+        torus_samples(0, "x", -1, 3, 1, 1)
