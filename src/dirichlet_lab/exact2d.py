@@ -22,6 +22,16 @@ sigma is read off two neighbouring rungs found by bisection, and each box
 query enumerates in a pair of rungs chosen in integers (certified as a
 basis by |det| = den).  No float steers any choice.
 
+The measure estimator asks a whole chunk of samples at one sigma
+(membership_profiles).  Every row with den <= 2^62 (every torus sample)
+runs the Euclid pass in lockstep with the others, in int64 arrays.  A float
+test q_k den >= e^{2 sigma} |N_k| only picks the rung where each row's
+settle walk starts; the walk reads log_int (math.log) on the rungs it
+visits, in delta_flowed's expressions and order, so each Delta is bit-equal
+to delta_flowed's.  No numpy transcendental function is called, and every
+value that decides a count comes from math.log.  The slab of a row that
+needs one is enumerated on that row's rungs.
+
 Thickened membership needs exact integers only for the log-moduli of the
 points in one candidate box per window; the windows of one orbit or one
 profile hand their points' logs, each row tagged with its window, to one
@@ -37,6 +47,7 @@ the full ladder and does not depend on call history.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from bisect import bisect_left
@@ -74,17 +85,140 @@ def log_int(n: int) -> float:
     return math.log(n >> shift) + shift * _LOG2
 
 
+def _check_sigma(sigma: float):
+    if sigma > MAX_SIGMA:
+        raise BudgetExceeded(f"flow time {sigma} beyond the exact-precision horizon {MAX_SIGMA}")
+
+
 def partial_quotients(num: int, den: int):
     """Partial quotients a_1, a_2, ... of num/den, 0 <= num < den, by Euclid.
 
     The one Euclid step of the lab: the convergent ladder of Exact2D and
     the continued-fraction oracle (cf.cf_expand) both take their quotients
-    from here.  Ends when the remainder is 0.
+    from here; _lockstep_ladders runs the same step on int64 arrays.  Ends
+    when the remainder is 0.
     """
     while num:
         a, rem = divmod(den, num)
         yield a
         num, den = rem, num
+
+
+def _append_rung(points, quotients) -> bool:
+    """Append the next rung of a convergent ladder, b_{k+1} = b_{k-1} + a b_k
+    with a the next of its partial quotients; False once they run out."""
+    a = next(quotients, None)
+    if a is None:
+        return False
+    (n0, q0), (n1, q1) = points[-2:]
+    points.append((n0 + a * n1, q0 + a * q1))
+    return True
+
+
+def _box_walk(points, grow, den: int, n_max: int, q_max: int, coeff_cap: int = 5_000_000):
+    """Yield nonzero integer lattice points (N, q), |N| <= n_max, |q| <= q_max,
+    of the lattice whose convergent ladder is points; grow() appends its next
+    rung and is False once the ladder has reached N = 0.
+
+    Canonical sign: q > 0, or q == 0 and N > 0.  Half the coefficient
+    rectangle of the basis bounds the work; callers that need the full
+    list should pass the walk to _capped instead.
+
+    The bounds are exact: v = c1 b1 + c2 b2 has c1 det(b1, b2) =
+    det(v, b2), so |c1| <= nu(b2) / den with the box's dual norm
+    nu(v) = n_max |q| + q_max |N|, and likewise for c2.  The basis is
+    chosen in integers.  nu is smallest on a rung next to the first rung
+    c with n_max q_c >= q_max |N_c|.  Every basis partner of a rung b_i
+    is +-(b_{i-1} + t b_i), and nu is convex and piecewise linear in t
+    with kinks at q = 0 and N = 0, so the best partner is one of b_{i-1},
+    b_{i-1} - b_i, b_{i+1} and b_{i+1} + b_i.  Of these pairs for
+    i = c - 1, c, the one with the smallest rectangle is used.
+    """
+    if n_max < 0 or q_max < 0:
+        return
+    # the balance test is monotone along the ladder (|N_k| falls and q_k
+    # rises); once it holds on the rung before the last, the first rung c
+    # where it holds and its partner c + 1 are both grown
+    while n_max * points[-2][1] < q_max * abs(points[-2][0]) and grow():
+        pass
+    c = bisect_left(points, True, key=lambda p: n_max * p[1] >= q_max * abs(p[0]))
+    best = None
+    for i in (c - 1, c):
+        if i < 0:
+            continue
+        b1 = points[i]
+        c2_hi = (n_max * b1[1] + q_max * abs(b1[0])) // den
+        for j, sign in ((i - 1, -1), (i + 1, 1)):
+            if not 0 <= j < len(points):
+                continue
+            bj = points[j]
+            for b2 in (bj, (bj[0] + sign * b1[0], bj[1] + sign * b1[1])):
+                c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // den
+                size = (2 * c1_hi + 1) * (2 * c2_hi + 1)
+                if best is None or size < best[0]:
+                    best = (size, b1, b2, c1_hi, c2_hi)
+    size, b1, b2, c1_hi, c2_hi = best
+    # certificate: two lattice vectors spanning covolume den are a basis
+    if abs(b1[0] * b2[1] - b1[1] * b2[0]) != den:
+        raise ValidationError("ladder pair is not a basis of L_A")
+    if size > coeff_cap:
+        raise CapExceeded("coefficient ranges exceed enumeration cap")
+    # the box is symmetric, so one of each pair +-(c1, c2) is walked
+    for c1 in range(c1_hi + 1):
+        base_n = c1 * b1[0]
+        base_q = c1 * b1[1]
+        for c2 in range(-c2_hi if c1 else 1, c2_hi + 1):
+            n = base_n + c2 * b2[0]
+            q = base_q + c2 * b2[1]
+            if q < 0 or (q == 0 and n < 0):
+                n, q = -n, -q
+            if abs(n) <= n_max and q <= q_max:
+                yield n, q
+
+
+def _capped(points, cap: int = 4096) -> list:
+    out = []
+    for pt in points:
+        out.append(pt)
+        if len(out) > cap:
+            raise CapExceeded("box enumeration cap exceeded")
+    return out
+
+
+def _n_bound(log_den: float, log_bound: float) -> int:
+    """Integer threshold for |N| <= den * e^log_bound (conservative superset)."""
+    return int(math.exp(min(log_den + log_bound, 700.0)) * (1 + 1e-9)) + 1
+
+
+def _slab_points(points, grow, den: int, log_den: float, sigma: float, r: float):
+    """Exact2D.slab_points on the lattice whose ladder is points (see _box_walk)."""
+    n_hi = _n_bound(log_den, -sigma + math.log1p(r / 4.0))
+    q_max = int(math.sqrt(r) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
+    bounds = _slab_bounds(r)
+    return [
+        (n, q) if n > 0 else (-n, -q)
+        for n, q in _capped(_box_walk(points, grow, den, n_hi, q_max))
+        if _in_slab(_slab_logs(log_den, n, q, sigma), bounds)
+    ]
+
+
+def _slab_logs(log_den: float, n: int, q: int, sigma: float):
+    """log |x| and log |y| of g_sigma (N/den, q), -inf at a zero coordinate."""
+    return (
+        sigma + log_int(abs(n)) - log_den if n else -math.inf,
+        -sigma + log_int(abs(q)) if q else -math.inf,
+    )
+
+
+def _slab_bounds(r: float):
+    """The slab (1 - r/4, 1 + r/4) x (-sqrt r, sqrt r) of slab_points, in logs."""
+    return math.log1p(-r / 4.0), math.log1p(r / 4.0), 0.5 * math.log(r)
+
+
+def _in_slab(logs, bounds) -> bool:
+    """Do a point's _slab_logs put it in the slab of _slab_bounds, up to sign?"""
+    lo, hi, y_hi = bounds
+    return lo < logs[0] < hi and logs[1] < y_hi
 
 
 class Exact2D:
@@ -140,14 +274,9 @@ class Exact2D:
         into balance at 2 sigma = keys[k].  Rungs are only appended, so
         the lists are always a prefix of the full ladder.
         """
-        a = next(self._quotients, None)
-        if a is None:
+        if not _append_rung(self._points, self._quotients):
             return False
-        points = self._points
-        (n0, q0), (n1, q1) = points[-2:]
-        n = n0 + a * n1
-        q = q0 + a * q1
-        points.append((n, q))
+        n, q = self._points[-1]
         log_n = log_int(abs(n)) if n else -math.inf
         log_q = log_int(q)
         self._log_n.append(log_n)
@@ -204,72 +333,11 @@ class Exact2D:
         return b1, b2
 
     def _iter_box_points(self, n_max: int, q_max: int, coeff_cap: int = 5_000_000):
-        """Yield nonzero integer lattice points (N, q), |N| <= n_max, |q| <= q_max.
-
-        Canonical sign: q > 0, or q == 0 and N > 0.  Half the coefficient
-        rectangle of the basis bounds the work; callers that need the full
-        list should pass a cap to _box_points instead.
-
-        The bounds are exact: v = c1 b1 + c2 b2 has c1 det(b1, b2) =
-        det(v, b2), so |c1| <= nu(b2) / den with the box's dual norm
-        nu(v) = n_max |q| + q_max |N|, and likewise for c2.  The basis is
-        chosen in integers.  nu is smallest on a rung next to the first rung
-        c with n_max q_c >= q_max |N_c|.  Every basis partner of a rung b_i
-        is +-(b_{i-1} + t b_i), and nu is convex and piecewise linear in t
-        with kinks at q = 0 and N = 0, so the best partner is one of b_{i-1},
-        b_{i-1} - b_i, b_{i+1} and b_{i+1} + b_i.  Of these pairs for
-        i = c - 1, c, the one with the smallest rectangle is used.
-        """
-        if n_max < 0 or q_max < 0:
-            return
-        points = self._points
-        # the balance test is monotone along the ladder (|N_k| falls and q_k
-        # rises); once it holds on the rung before the last, the first rung c
-        # where it holds and its partner c + 1 are both grown
-        while n_max * points[-2][1] < q_max * abs(points[-2][0]) and self._grow():
-            pass
-        den = self.den
-        c = bisect_left(points, True, key=lambda p: n_max * p[1] >= q_max * abs(p[0]))
-        best = None
-        for i in (c - 1, c):
-            if i < 0:
-                continue
-            b1 = points[i]
-            c2_hi = (n_max * b1[1] + q_max * abs(b1[0])) // den
-            for j, sign in ((i - 1, -1), (i + 1, 1)):
-                if not 0 <= j < len(points):
-                    continue
-                bj = points[j]
-                for b2 in (bj, (bj[0] + sign * b1[0], bj[1] + sign * b1[1])):
-                    c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // den
-                    size = (2 * c1_hi + 1) * (2 * c2_hi + 1)
-                    if best is None or size < best[0]:
-                        best = (size, b1, b2, c1_hi, c2_hi)
-        size, b1, b2, c1_hi, c2_hi = best
-        # certificate: two lattice vectors spanning covolume den are a basis
-        if abs(b1[0] * b2[1] - b1[1] * b2[0]) != den:
-            raise ValidationError("ladder pair is not a basis of L_A")
-        if size > coeff_cap:
-            raise CapExceeded("coefficient ranges exceed enumeration cap")
-        # the box is symmetric, so one of each pair +-(c1, c2) is walked
-        for c1 in range(c1_hi + 1):
-            base_n = c1 * b1[0]
-            base_q = c1 * b1[1]
-            for c2 in range(-c2_hi if c1 else 1, c2_hi + 1):
-                n = base_n + c2 * b2[0]
-                q = base_q + c2 * b2[1]
-                if q < 0 or (q == 0 and n < 0):
-                    n, q = -n, -q
-                if abs(n) <= n_max and q <= q_max:
-                    yield n, q
+        """_box_walk on this ladder, grown as far as the walk reads."""
+        return _box_walk(self._points, self._grow, self.den, n_max, q_max, coeff_cap)
 
     def _box_points(self, n_max: int, q_max: int, cap: int = 4096):
-        out = []
-        for pt in self._iter_box_points(n_max, q_max):
-            out.append(pt)
-            if len(out) > cap:
-                raise CapExceeded("box enumeration cap exceeded")
-        return out
+        return _capped(self._iter_box_points(n_max, q_max), cap)
 
     def any_point_in_box(self, n_strict: int, q_max: int) -> bool:
         """Is there a point with |N| < n_strict (exact) and 1 <= q <= q_max?
@@ -286,12 +354,6 @@ class Exact2D:
 
     # -- flowed geometry ---------------------------------------------------
 
-    def _check_sigma(self, sigma: float):
-        if sigma > MAX_SIGMA:
-            raise BudgetExceeded(
-                f"flow time {sigma} beyond the exact-precision horizon {MAX_SIGMA}"
-            )
-
     def flow_sup_log(self, point, sigma: float) -> float:
         """log of the sup-norm of the flowed point g_sigma (N/den, q)."""
         n, q = point
@@ -305,8 +367,7 @@ class Exact2D:
         return max(parts)
 
     def _n_threshold(self, log_bound: float) -> int:
-        """Integer threshold for |N| <= den * e^log_bound (conservative superset)."""
-        return int(math.exp(min(self.log_den + log_bound, 700.0)) * (1 + 1e-9)) + 1
+        return _n_bound(self.log_den, log_bound)
 
     def delta_flowed(self, sigma: float) -> float:
         """Delta(g_sigma L_A), exactly (float only in the final logs).
@@ -319,7 +380,7 @@ class Exact2D:
         expression order of flow_sup_log, so the value is bit-equal to the
         minimum over all nonzero lattice points.
         """
-        self._check_sigma(abs(sigma))
+        _check_sigma(abs(sigma))
         log_n, log_q, keys = self._log_n, self._log_q, self._keys
         # grown until the last key clears 2 sigma by far more than the
         # rounding between the keys and the walk's expressions, so the walk
@@ -344,25 +405,8 @@ class Exact2D:
         Returned with the first coordinate positive (the canonical sign from
         enumeration is flipped when needed).
         """
-        self._check_sigma(abs(sigma))
-        eps = r / 4.0
-        n_hi = self._n_threshold(-sigma + math.log1p(eps))
-        q_max = int(math.sqrt(r) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
-        return [
-            (n, q) if n > 0 else (-n, -q)
-            for n, q in self._box_points(n_hi, q_max)
-            if self._in_slab(n, q, sigma, r)
-        ]
-
-    def _in_slab(self, n: int, q: int, sigma: float, r: float) -> bool:
-        """Does g_sigma (N/den, q) lie in the slab of slab_points, up to sign?"""
-        if n == 0:
-            return False
-        eps = r / 4.0
-        first = sigma + log_int(abs(n)) - self.log_den
-        if not math.log1p(-eps) < first < math.log1p(eps):
-            return False
-        return q == 0 or -sigma + log_int(abs(q)) < 0.5 * math.log(r)
+        _check_sigma(abs(sigma))
+        return _slab_points(self._points, self._grow, self.den, self.log_den, sigma, r)
 
     def in_primed(self, sigma: float, r: float) -> bool:
         return self.in_sub(sigma, r) and bool(self.slab_points(sigma, r))
@@ -370,39 +414,10 @@ class Exact2D:
     def membership_profile(self, sigma: float, kinds, r_values) -> dict:
         """{(kind, r): g_sigma L_A in the target} for every kind and r.
 
-        The exact counterpart of targets.membership_profile, whose callers
-        validate (kind, r) through TargetSpec.  Delta is computed once and,
-        unless it exceeds every r, the slab enumerated once, at the largest
-        r: every smaller slab lies inside it, so each primed(r) is read off
-        those points.  Thickened kinds flow over [sigma, sigma + window),
-        windows as in targets, all in one witness_intervals_batch call.
+        The N = 1 form of membership_profiles.
         """
-        if KIND_SUB in kinds or KIND_PRIMED in kinds:
-            delta = self.delta_flowed(sigma)
-            slab = (
-                self.slab_points(sigma, max(r_values))
-                if KIND_PRIMED in kinds and delta <= max(r_values) + 1e-12
-                else []
-            )
-        thick = [(kind, r) for kind in kinds if kind in _WINDOWS for r in r_values]
-        if thick:
-            found = self.witness_intervals_batch(
-                [(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED) for kind, r in thick]
-            )
-            witness = {key: bool(ivs) for key, ivs in zip(thick, found)}
-        out = {}
-        for kind in kinds:
-            for r in r_values:
-                if kind == KIND_SUB:
-                    hit = delta <= r + 1e-12
-                elif kind == KIND_PRIMED:
-                    hit = delta <= r + 1e-12 and any(
-                        self._in_slab(n, q, sigma, r) for n, q in slab
-                    )
-                else:
-                    hit = witness[(kind, r)]
-                out[(kind, r)] = hit
-        return out
+        keys, hits = membership_profiles([self], sigma, kinds, r_values)
+        return dict(zip(keys, hits[0].tolist()))
 
     # -- thickened membership via s-interval analysis -----------------------
 
@@ -414,7 +429,7 @@ class Exact2D:
         """
         logs, slab_ok, counts, queries, kept = [], [], [], [], []
         for idx, (k, window, r, primed) in enumerate(windows):
-            self._check_sigma(k + window)
+            _check_sigma(k + window)
             lo, hi = float(k), float(k) + float(window)
             # Lipschitz pre-filter (|Delta(s1) - Delta(s2)| <= |s1 - s2| here):
             # when Delta at the midpoint clears r by half the window, no s has
@@ -459,3 +474,171 @@ class Exact2D:
     def hits_thick(self, k: float, window: float, r: float, primed: bool) -> bool:
         """Does g_s L_A enter the base target for some s in [k, k+window)?"""
         return bool(self.witness_intervals(k, window, r, primed))
+
+
+# A row goes through the int64 lockstep ladder when den <= 2^62: every rung has
+# |N_k|, q_k <= den, so a_k |N_k| and a_k q_k stay inside int64.
+_LOCKSTEP_DEN = 1 << 62
+
+
+def membership_profiles(samples, sigma: float, kinds, r_values):
+    """The membership profile of every sample A, as one table: the keys
+    (kind, r), kinds outer, and one row of hits per sample, in order.  The
+    d = 2 counterpart of targets.membership_profiles, whose callers validate
+    (kind, r) through TargetSpec.
+
+    samples holds one scalar A per entry, in any form Exact2D.of takes, or
+    is a float array with one A per row (a chunk of torus samples).  Delta
+    is computed once per sample: by one lockstep ladder over all rows with
+    den <= 2^62 (_lockstep_ladders), by its own Exact2D for any other row.
+    Unless Delta exceeds every r, the slab is enumerated once, at the
+    largest r, on the sample's ladder: every smaller slab lies inside it, so
+    each primed(r) is read off those points.  Thickened kinds flow each
+    sample's Exact2D over [sigma, sigma + window), windows as in targets,
+    all in one witness_intervals_batch call.
+    """
+    exacts, num, den = _fractions(samples)
+    wide = [ex is not None and ex.den > _LOCKSTEP_DEN for ex in exacts]
+    keys = list(dict.fromkeys((kind, r) for kind in kinds for r in r_values))
+    hits = np.zeros((len(exacts), len(keys)), dtype=bool)
+    if KIND_SUB in kinds or KIND_PRIMED in kinds:
+        _check_sigma(abs(sigma))
+        deltas, R, Q, length, log_den = _lockstep_ladders(num, den, sigma)
+        for i in np.flatnonzero(wide).tolist():
+            deltas[i] = exacts[i].delta_flowed(sigma)
+        for col, (kind, r) in enumerate(keys):
+            if kind in (KIND_SUB, KIND_PRIMED):
+                hits[:, col] = deltas <= r + 1e-12
+        primed = [col for col, (kind, _) in enumerate(keys) if kind == KIND_PRIMED]
+        bounds = [_slab_bounds(keys[col][1]) for col in primed]
+        r_max = max(r_values, default=0.0)
+        rows = np.flatnonzero(deltas <= r_max + 1e-12).tolist() if primed else []
+        found = []
+        for i in rows:
+            if wide[i]:
+                ex = exacts[i]
+                ladder = ex._points, ex._grow, ex.den, ex.log_den
+            else:
+                points, grow = _row_ladder(R[: length[i], i], Q[: length[i], i])
+                ladder = points, grow, int(den[i]), float(log_den[i])
+            logs = [_slab_logs(ladder[3], n, q, sigma) for n, q in _slab_points(*ladder, sigma, r_max)]
+            found.append([any(_in_slab(point, b) for point in logs) for b in bounds])
+        hits[np.ix_(rows, primed)] &= np.array(found, dtype=bool).reshape(len(rows), len(primed))
+    thick = [(col, key) for col, key in enumerate(keys) if key[0] in _WINDOWS]
+    if thick:
+        windows = [(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED) for _, (kind, r) in thick]
+        cols = [col for col, _ in thick]
+        for i, ex in enumerate(exacts):
+            witness = (ex or Exact2D(int(num[i]), int(den[i]))).witness_intervals_batch(windows)
+            hits[i, cols] = [bool(ivs) for ivs in witness]
+    return keys, hits
+
+
+def _fractions(samples):
+    """Every sample A = num/den as Exact2D holds it, as int64 arrays num and
+    den, and a list holding each sample's Exact2D when it was given as one or
+    has den > 2^62 (its row then holds A = 0), else None."""
+    if not (isinstance(samples, np.ndarray) and samples.dtype.kind == "f"):
+        exacts = [Exact2D.of(a) for a in samples]
+        pairs = [(ex.num, ex.den) if ex.den <= _LOCKSTEP_DEN else (0, 1) for ex in exacts]
+        num, den = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        return exacts, num, den
+    if samples.size != len(samples):
+        raise ValidationError(f"a scalar A needs one entry per row, got shape {samples.shape}")
+    a = samples.reshape(-1)
+    if not np.isfinite(a).all():
+        raise ValidationError("A must be a finite real number")
+    # a = m 2^(e - 53) with |m| < 2^53, reduced by the trailing zeros of m
+    mant, e = np.frexp(a)
+    m = (mant * 2.0**53).astype(np.int64)
+    zeros = np.where(m != 0, np.frexp((m & -m).astype(float))[1] - 1, 0)
+    den_bits = np.maximum(np.where(m != 0, 53 - e - zeros, 0), 0)
+    exacts = [None] * len(a)
+    for i in np.flatnonzero(den_bits > 62).tolist():
+        exacts[i] = Exact2D.of(float(a[i]))
+        den_bits[i] = 0
+    den = np.left_shift(np.int64(1), den_bits)
+    return exacts, (m >> zeros) % den, den
+
+
+def _exact_logs(values: np.ndarray) -> np.ndarray:
+    """log_int of every entry of a non-negative int64 array, -inf at 0."""
+    out = np.full(values.shape, -math.inf)
+    # below 2^53 log_int is math.log of the int, which converts it exactly
+    for part, log in (((values > 0) & (values < 1 << 53), math.log), (values >= 1 << 53, log_int)):
+        out[part] = list(map(log, values[part].tolist()))
+    return out
+
+
+def _row_ladder(r: np.ndarray, q: np.ndarray):
+    """One row of the lockstep ladders as Exact2D holds its rungs, (N_k, q_k)
+    with N_k = -+r_k, and a grow() that appends the row's next rung."""
+    r, q = r.tolist(), q.tolist()
+    points = [(-rk if k % 2 == 0 else rk, qk) for k, (rk, qk) in enumerate(zip(r, q))]
+    return points, functools.partial(_append_rung, points, partial_quotients(r[-1], r[-2]))
+
+
+def _lockstep_ladders(num: np.ndarray, den: np.ndarray, sigma: float):
+    """Delta(g_sigma L_A) of int64 rows (num, den), den <= 2^62, bit-equal to
+    Exact2D(num, den).delta_flowed(sigma), with the ladders it read.
+
+    One Euclid step per pass over all rows grows the ladders of
+    delta_flowed in int64: rung k holds r_k = |N_k| (the Euclid remainders,
+    den, num, ...) and q_k.  A row stops growing at r_k = 0 or once
+    q_k den >= e^{2 sigma + _KEY_MARGIN} r_k in floats, which puts G >= F
+    there.  The float test q_k den >= e^{2 sigma} r_k only picks each row's
+    start rung: delta_flowed's settle walk then runs from there on every
+    row at once, with log_int taken only on the rungs it reads, and lands
+    on the first rung j with G_j >= F_j, as it does from delta_flowed's
+    bisection.  Delta is -min(F_{j-1}, G_j) in delta_flowed's expressions
+    and order.  A row whose walk would leave its grown rungs is answered by
+    its own Exact2D.
+
+    Returns Delta, the rungs R and Q (one row per rung, one column per
+    input row; a row repeats its last rung once it stops), each row's
+    number of rungs and the exact log den.
+    """
+    m = len(den)
+    den_f = den.astype(float)
+    r0, r1 = den, num
+    q0, q1 = np.zeros(m, dtype=np.int64), np.ones(m, dtype=np.int64)
+    rs, qs = [r0, r1], [q0, q1]
+    length = np.full(m, 2)
+    crossing, stop = math.exp(2.0 * sigma), math.exp(2.0 * sigma + _KEY_MARGIN)
+    # rung 0 has q = 0, so G_0 = -inf and every walk stays at j >= 1
+    j = np.where(q1 * den_f >= crossing * r1, 1, 0)
+    live = (r1 != 0) & (q1 * den_f < stop * r1)
+    while live.any():
+        a = np.where(live, r0 // np.where(live, r1, 1), 0)
+        r0, r1 = np.where(live, r1, r0), np.where(live, r0 - a * r1, r1)
+        q0, q1 = np.where(live, q1, q0), np.where(live, q0 + a * q1, q1)
+        rs.append(r1)
+        qs.append(q1)
+        j = np.where((j == 0) & (q1 * den_f >= crossing * r1), len(rs) - 1, j)
+        length += live
+        live &= (r1 != 0) & (q1 * den_f < stop * r1)
+    R, Q = np.array(rs), np.array(qs)
+    del rs, qs
+    log_n = np.full(R.shape, math.nan)
+    log_q = np.full(R.shape, math.nan)
+    log_den = _exact_logs(den)
+    rows = np.arange(m)
+
+    def balanced(k):
+        """G_k >= F_k on every row, log_int taken on the rungs not read yet."""
+        fresh = np.isnan(log_n[k, rows])
+        at = (k[fresh], rows[fresh])
+        log_n[at] = _exact_logs(R[at])
+        log_q[at] = _exact_logs(Q[at])
+        return -sigma + log_q[k, rows] >= (sigma + log_n[k, rows]) - log_den
+
+    while (down := balanced(j - 1)).any():
+        j -= down
+    stuck = np.zeros(m, dtype=bool)
+    while (up := ~balanced(j) & ~stuck).any():
+        stuck |= up & (j == length - 1)
+        j += up & ~stuck
+    delta = -np.minimum((sigma + log_n[j - 1, rows]) - log_den, -sigma + log_q[j, rows])
+    for i in np.flatnonzero(stuck).tolist():
+        delta[i] = Exact2D(int(num[i]), int(den[i])).delta_flowed(sigma)
+    return delta, R, Q, length, log_den

@@ -10,8 +10,11 @@ Every sample i draws from substream(seed, label, i): estimates are
 bit-identical regardless of evaluation order, and common random numbers
 across an r-grid come for free by reusing (seed, label).  The samples are
 drawn _LLL_CHUNK indices at a time by rng.torus_samples, whose row i is
-bit-equal to sample_torus(substream(seed, label, i), m, n), and at d >= 3
-each chunk is pushed as one stack (lattice.flowed_lattices).
+bit-equal to sample_torus(substream(seed, label, i), m, n).  At d >= 3
+each chunk is pushed as one stack (lattice.flowed_lattices); at m = n = 1
+each chunk runs one lockstep Euclid ladder in int64 arrays
+(exact2d.membership_profiles), where every value that decides a count comes
+from math.log.
 """
 
 from __future__ import annotations
@@ -25,14 +28,15 @@ import numpy as np
 from .approx import DimensionParams
 from .errors import DomainError, ValidationError
 from .exact2d import Exact2D
+from .exact2d import membership_profiles as exact_profiles
 from .lattice import WeightPair, flowed_lattices, matrix_bases, reduce_lattices
 from .rng import substream, torus_samples
 from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profiles
 
 _Z95 = 1.959963984540054
-# samples drawn (and, at d >= 3, pushed and reduced by one lockstep LLL) at a
-# time: enough to spread the per-pass overhead, few enough that a chunk's
-# lattices stay small
+# samples drawn (and pushed and reduced by one lockstep LLL at d >= 3, or run
+# through one lockstep Euclid ladder at d = 2) at a time: enough to spread the
+# per-pass overhead, few enough that a chunk's arrays stay small
 _LLL_CHUNK = 256
 
 # zeta(2)..zeta(6); enumeration is capped at d = 6 anyway
@@ -101,10 +105,13 @@ def measure_profile(
     """McEstimate for every (kind, r) on shared samples (common random numbers).
 
     Every (kind, r) is validated once as a TargetSpec.  Each sample then
-    reads all of them off one membership profile: exact at m = n = 1
-    (Exact2D.membership_profile), float otherwise.  Samples are drawn
-    _LLL_CHUNK at a time.  The float path pushes each chunk as one stack,
-    reduces it with one lockstep LLL and answers it with one
+    reads all of them off one membership profile.  Samples are drawn
+    _LLL_CHUNK at a time, and each chunk is answered by one call.  At
+    m = n = 1 that is exact2d.membership_profiles: one lockstep Euclid ladder
+    over the chunk's exact (num, den) gives every Delta, bit-equal to
+    Exact2D.delta_flowed, and the slab is enumerated on the ladders of the
+    samples with Delta <= max r.  Otherwise the float path pushes the chunk
+    as one stack, reduces it with one lockstep LLL and answers it with one
     targets.membership_profiles call, whose enumerations and kernel calls
     each cover many lattices at once.
     """
@@ -117,16 +124,17 @@ def measure_profile(
     specs = [TargetSpec(kind, r, w) for kind in kinds for r in r_values]
     counts = {(spec.kind, spec.r): 0 for spec in specs}
     dims = w.dims
-    if dims.m == 1 and dims.n == 1:
-        profiles = (
-            Exact2D.of(a).membership_profile(s_push, kinds, r_values)
-            for a in _scalar_samples(seed, label, N)
-        )
-    else:
-        profiles = _flowed_profiles(kinds, r_values, w, s_push, N, seed, label)
-    for hits in profiles:
-        for key, hit in hits.items():
-            counts[key] += hit
+    for A in _torus_chunks(seed, label, N, dims.m, dims.n):
+        if dims.m == 1 and dims.n == 1:
+            keys, hits = exact_profiles(A, s_push, kinds, r_values)
+            for key, hit in zip(keys, hits.sum(axis=0).tolist()):
+                counts[key] += hit
+        else:
+            chunk = flowed_lattices(matrix_bases(A), s_push, w)
+            reduce_lattices(chunk)
+            for hits in membership_profiles(chunk, kinds, r_values, w):
+                for key, hit in hits.items():
+                    counts[key] += hit
     return {
         key: _estimate(
             counts[key], N, 1.0, (key[0], key[1], dims.m, dims.n, s_push, N, seed, label)
@@ -145,14 +153,6 @@ def _scalar_samples(seed: int, label: str, N: int):
     """The m = n = 1 torus samples of indices 0..N-1, as floats."""
     for A in _torus_chunks(seed, label, N, 1, 1):
         yield from A.ravel().tolist()
-
-
-def _flowed_profiles(kinds, r_values, w: WeightPair, s_push: float, N: int, seed: int, label: str):
-    """Membership profile of every pushed sample lattice, in sample order."""
-    for A in _torus_chunks(seed, label, N, w.m, w.n):
-        chunk = flowed_lattices(matrix_bases(A), s_push, w)
-        reduce_lattices(chunk)
-        yield from membership_profiles(chunk, kinds, r_values, w)
 
 
 def estimate_measure_equidist(

@@ -8,9 +8,18 @@ from hypothesis import strategies as st
 
 from dirichlet_lab.dirichlet import _records_walk
 from dirichlet_lab.errors import BudgetExceeded, CapExceeded, ValidationError
-from dirichlet_lab.exact2d import Exact2D, log_int
+from dirichlet_lab.exact2d import (
+    Exact2D,
+    _fractions,
+    _in_slab,
+    _lockstep_ladders,
+    _slab_bounds,
+    _slab_logs,
+    log_int,
+    membership_profiles,
+)
 from dirichlet_lab.lattice import WeightPair, apply_flow, delta, lattice_from_matrix
-from dirichlet_lab.rng import sample_torus_fixedpoint, substream
+from dirichlet_lab.rng import sample_torus_fixedpoint, substream, torus_samples
 from dirichlet_lab.targets import (
     KIND_PRIMED,
     KIND_SUB,
@@ -200,6 +209,104 @@ def test_membership_profile_skips_slab_when_delta_exceeds_every_r():
         ex.slab_points(50.0, 0.2)
 
 
+# 0, 1/2 (a den-2 ladder that reaches N = 0 before its key clears 2 sigma at
+# sigma >= 1), the smallest and the largest 53-bit sample, 1/4, and two A
+# whose den lies in (2^53, 2^62], where log_int shifts before its log
+_EDGE_SAMPLES = [0.0, 0.5, 2.0**-53, 1.0 - 2.0**-53, 0.25, 2.0**-55, 1e-3]
+
+
+@pytest.mark.parametrize("sigma", [5.0, 10.0, 15.0])
+def test_lockstep_delta_is_bit_equal_to_delta_flowed(sigma):
+    samples = torus_samples(24, "lockstep", 0, 512, 1, 1).ravel().tolist() + _EDGE_SAMPLES
+    exacts = [Exact2D.of(a) for a in samples]
+    num = np.array([ex.num for ex in exacts], dtype=np.int64)
+    den = np.array([ex.den for ex in exacts], dtype=np.int64)
+    got = _lockstep_ladders(num, den, sigma)[0]
+    want = np.array([Exact2D.of(a).delta_flowed(sigma) for a in samples])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    # each edge sample alone, so it sets the chunk's ladder length itself
+    for ex in exacts[-len(_EDGE_SAMPLES):]:
+        one = _lockstep_ladders(np.array([ex.num]), np.array([ex.den]), sigma)[0]
+        assert one.view(np.int64).tolist() == np.array([ex.delta_flowed(sigma)]).view(np.int64).tolist()
+
+
+@pytest.mark.parametrize("shift", [-3.0, 3.0])
+def test_lockstep_delta_does_not_depend_on_the_float_steer(monkeypatch, shift):
+    # e^x read as e^{x + shift}: the rows stop growing and start their walk
+    # e^shift away from the crossing; at -3 many rows run out of rungs and
+    # fall back to their own Exact2D, at +3 every walk goes down several rungs
+    samples = torus_samples(26, "lockstep", 0, 256, 1, 1).ravel().tolist() + _EDGE_SAMPLES
+    exacts = [Exact2D.of(a) for a in samples]
+    num = np.array([ex.num for ex in exacts], dtype=np.int64)
+    den = np.array([ex.den for ex in exacts], dtype=np.int64)
+    want = np.array([ex.delta_flowed(10.0) for ex in exacts])
+    exp = math.exp
+    monkeypatch.setattr(math, "exp", lambda x: exp(x + shift))
+    got = _lockstep_ladders(num, den, 10.0)[0]
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+
+
+def test_lockstep_delta_of_a_den_two_sample_reads_its_last_rung():
+    ex = Exact2D.of(0.5)
+    delta, R, Q, length, _ = _lockstep_ladders(np.array([1]), np.array([2]), 10.0)
+    assert length.tolist() == [3] and R[:, 0].tolist() == [2, 1, 0] and Q[:, 0].tolist() == [0, 1, 2]
+    assert ex._keys[1] < 20.0 and delta[0] == ex.delta_flowed(10.0) == 10.0 - math.log(2.0)
+
+
+def test_membership_profiles_match_single_queries(monkeypatch):
+    # a chunk of float samples, the edge samples and one 64-bit fixed-point
+    # sample (den 2^64 > 2^62), read off one table against fresh single queries
+    r_values = [float(r) for r in np.geomspace(0.02, 0.2, 8)]
+    kinds = [KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED]
+    num, den = sample_torus_fixedpoint(substream(25, "x2d-table", 0), 1, 1, bits=64)
+    samples = torus_samples(25, "x2d-table", 0, 96, 1, 1).ravel().tolist() + _EDGE_SAMPLES
+    samples.insert(40, (num[0][0], den))
+    delta_flowed, calls = Exact2D.delta_flowed, []
+    seen = {kind: set() for kind in kinds}
+    for sigma in (5.0, 10.0):
+        monkeypatch.setattr(
+            Exact2D, "delta_flowed", lambda ex, s: calls.append((ex.num, ex.den, s)) or delta_flowed(ex, s)
+        )
+        keys, hits = membership_profiles(samples, sigma, kinds, r_values)
+        # only the wide sample's Delta comes from its own Exact2D; the thickened
+        # kinds' pre-filter asks every sample at the windows' midpoints
+        assert [c for c in calls if c[2] == sigma] == [(num[0][0], den, sigma)]
+        monkeypatch.setattr(Exact2D, "delta_flowed", delta_flowed)
+        calls.clear()
+        assert keys == [(kind, r) for kind in kinds for r in r_values]
+        for a, row in zip(samples, hits.tolist()):
+            ex = Exact2D.of(a)
+            want = [ex.in_sub(sigma, r) for r in r_values] + [ex.in_primed(sigma, r) for r in r_values]
+            want += [
+                ex.hits_thick(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED)
+                for kind in (KIND_THICK, KIND_THICK_PRIMED)
+                for r in r_values
+            ]
+            assert row == want, (a, sigma)
+            for (kind, _), hit in zip(keys, row):
+                seen[kind].add(hit)
+    assert all(values == {False, True} for values in seen.values())
+
+
+def test_a_float_chunk_reads_every_a_as_exact2d_of_does():
+    values = [-0.25, 2.5, 3.0, -7.3, 1e300, 2.0**-60, 1e-5, 2.0**-1074, 0.1] + _EDGE_SAMPLES
+    values += torus_samples(27, "fractions", 0, 64, 1, 1).ravel().tolist()
+    exacts, num, den = _fractions(np.array(values).reshape(-1, 1, 1))
+    for a, ex, n, d in zip(values, exacts, num.tolist(), den.tolist()):
+        want = Exact2D.of(a)
+        if want.den > 2**62:  # its own Exact2D, and A = 0 in the int64 rows
+            assert (ex.num, ex.den, n, d) == (want.num, want.den, 0, 1), a
+        else:
+            assert ex is None and (n, d) == (want.num, want.den), a
+    r_values = [0.05, 0.2]
+    as_list = membership_profiles(values, 10.0, [KIND_SUB, KIND_PRIMED], r_values)[1]
+    as_chunk = membership_profiles(np.array(values), 10.0, [KIND_SUB, KIND_PRIMED], r_values)[1]
+    assert as_list.tolist() == as_chunk.tolist()
+    for bad in (np.array([[0.1, 0.2]]), np.array([0.1, math.nan])):
+        with pytest.raises(ValidationError):
+            membership_profiles(bad, 10.0, [KIND_SUB], r_values)
+
+
 def test_orbit_escapes_for_low_precision_rational():
     # A with a 16-bit denominator looks rational past k ~ 11: orbit leaves
     # every sub target
@@ -384,7 +491,7 @@ def _slab_points_reference(ex, sigma, r):
     return [
         (n, q) if n > 0 else (-n, -q)
         for n, q in _box_points_reference(ex, n_hi, q_max)
-        if ex._in_slab(n, q, sigma, r)
+        if _in_slab(_slab_logs(ex.log_den, n, q, sigma), _slab_bounds(r))
     ]
 
 

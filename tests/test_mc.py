@@ -5,7 +5,8 @@ import pytest
 
 from dirichlet_lab import lattice, mc
 from dirichlet_lab.approx import DimensionParams
-from dirichlet_lab.errors import DomainError, ValidationError
+from dirichlet_lab.errors import BudgetExceeded, DomainError, ValidationError
+from dirichlet_lab.exact2d import MAX_SIGMA, Exact2D
 from dirichlet_lab.lattice import UnimodularLattice, WeightPair
 from dirichlet_lab.mc import (
     CoordinateRegion,
@@ -20,7 +21,14 @@ from dirichlet_lab.mc import (
 )
 from dirichlet_lab.rate import RateFunction
 from dirichlet_lab.rng import sample_torus, substream
-from dirichlet_lab.targets import KIND_PRIMED, KIND_SUB, TargetSpec, in_target
+from dirichlet_lab.targets import (
+    KIND_PRIMED,
+    KIND_SUB,
+    KIND_THICK,
+    KIND_THICK_PRIMED,
+    TargetSpec,
+    in_target,
+)
 
 W11 = WeightPair.unweighted(1, 1)
 D11 = DimensionParams(1, 1)
@@ -208,9 +216,13 @@ def test_measure_profile_reduces_each_sample_once(monkeypatch):
     assert len(profile) == 16
 
 
-@pytest.mark.parametrize("chunk", [1, 7, 1000])
-def test_measure_profile_does_not_depend_on_the_lll_chunk(monkeypatch, chunk):
-    w = WeightPair.unweighted(1, 2)
+@pytest.mark.parametrize(
+    "chunk, dims",
+    [pytest.param(chunk, (1, 2), id=str(chunk)) for chunk in (1, 7, 1000)]
+    + [pytest.param(chunk, (1, 1), id=f"d2-{chunk}") for chunk in (1, 7, 1000)],
+)
+def test_measure_profile_does_not_depend_on_the_lll_chunk(monkeypatch, chunk, dims):
+    w = WeightPair.unweighted(*dims)
     args = (["sub", "primed"], [0.05, 0.2], w, 10.0, 1000)
     want = measure_profile(*args, seed=4)
     monkeypatch.setattr(mc, "_LLL_CHUNK", chunk)
@@ -234,3 +246,23 @@ def test_measure_profile_d3_matches_a_per_sample_loop():
             counts[(kind, r)] += in_target(L, TargetSpec(kind, r, w))
     assert {key: est.mean for key, est in profile.items()} == {key: c / 1000 for key, c in counts.items()}
     assert counts[(KIND_SUB, 0.2)] > 0
+
+
+def test_measure_profile_d2_matches_a_per_sample_loop():
+    # N = 1000 leaves a last chunk of 1000 - 3 * 256 = 232 samples
+    kinds = [KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED]
+    radii = [0.08, 0.2]
+    profile = measure_profile(kinds, radii, W11, 10.0, 1000, seed=22)
+    assert 1000 % mc._LLL_CHUNK == 232
+    counts = dict.fromkeys(profile, 0)
+    for i in range(1000):
+        ex = Exact2D.of(sample_torus(substream(22, "measure", i), 1, 1))
+        for key, hit in ex.membership_profile(10.0, kinds, radii).items():
+            counts[key] += hit
+    assert {key: est.mean for key, est in profile.items()} == {key: c / 1000 for key, c in counts.items()}
+    assert all(counts[(kind, 0.2)] > 0 for kind in kinds)
+
+
+def test_measure_profile_d2_keeps_the_flow_horizon():
+    with pytest.raises(BudgetExceeded):
+        measure_profile([KIND_SUB, KIND_PRIMED], [0.1, 0.2], W11, MAX_SIGMA + 1.0, 1000, seed=0)
