@@ -57,7 +57,7 @@ import numpy as np
 from .errors import BudgetExceeded, CapExceeded, ValidationError
 from .lattice import WeightPair
 from .targets import _WINDOWS, KIND_PRIMED, KIND_SUB, KIND_THICK, KIND_THICK_PRIMED, TargetSpec
-from .targets import witness_from_logs
+from .targets import profile_keys, witness_from_logs
 
 # Not called here: perfbench traces these names as its `exact2d.intervals` row.
 from .targets import complement_within as _complement  # noqa: F401
@@ -482,10 +482,9 @@ _LOCKSTEP_DEN = 1 << 62
 
 
 def membership_profiles(samples, sigma: float, kinds, r_values):
-    """The membership profile of every sample A, as one table: the keys
-    (kind, r), kinds outer, and one row of hits per sample, in order.  The
-    d = 2 counterpart of targets.membership_profiles, whose callers validate
-    (kind, r) through TargetSpec.
+    """The membership profile of every sample A, as one table: the
+    targets.profile_keys (kind, r), kinds outer, and one row of hits per
+    sample, in order.  The d = 2 counterpart of targets.membership_profiles.
 
     samples holds one scalar A per entry, in any form Exact2D.of takes, or
     is a float array with one A per row (a chunk of torus samples).  Delta
@@ -497,11 +496,11 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
     sample's Exact2D over [sigma, sigma + window), windows as in targets,
     all in one witness_intervals_batch call.
     """
+    keys = profile_keys(kinds, r_values, _W11)
     exacts, num, den = _fractions(samples)
     wide = [ex is not None and ex.den > _LOCKSTEP_DEN for ex in exacts]
-    keys = list(dict.fromkeys((kind, r) for kind in kinds for r in r_values))
     hits = np.zeros((len(exacts), len(keys)), dtype=bool)
-    if KIND_SUB in kinds or KIND_PRIMED in kinds:
+    if any(kind in (KIND_SUB, KIND_PRIMED) for kind, _ in keys):
         _check_sigma(abs(sigma))
         deltas, R, Q, length, log_den = _lockstep_ladders(num, den, sigma)
         for i in np.flatnonzero(wide).tolist():
@@ -511,7 +510,7 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
                 hits[:, col] = deltas <= r + 1e-12
         primed = [col for col, (kind, _) in enumerate(keys) if kind == KIND_PRIMED]
         bounds = [_slab_bounds(keys[col][1]) for col in primed]
-        r_max = max(r_values, default=0.0)
+        r_max = max(r for _, r in keys)
         rows = np.flatnonzero(deltas <= r_max + 1e-12).tolist() if primed else []
         found = []
         for i in rows:

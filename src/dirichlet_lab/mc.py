@@ -14,7 +14,8 @@ bit-equal to sample_torus(substream(seed, label, i), m, n).  At d >= 3
 each chunk is pushed as one stack (lattice.flowed_lattices); at m = n = 1
 each chunk runs one lockstep Euclid ladder in int64 arrays
 (exact2d.membership_profiles), where every value that decides a count comes
-from math.log.
+from math.log.  Both answer a chunk as one table of targets.profile_keys
+columns by sample rows, and the estimators sum its columns.
 """
 
 from __future__ import annotations
@@ -27,11 +28,10 @@ import numpy as np
 
 from .approx import DimensionParams
 from .errors import DomainError, ValidationError
-from .exact2d import Exact2D
 from .exact2d import membership_profiles as exact_profiles
 from .lattice import WeightPair, flowed_lattices, matrix_bases, reduce_lattices
 from .rng import substream, torus_samples
-from .targets import _WINDOWS, KIND_THICK_PRIMED, TargetSpec, membership_profiles
+from .targets import KIND_THICK_PRIMED, TargetSpec, membership_profiles, profile_keys
 
 _Z95 = 1.959963984540054
 # samples drawn (and pushed and reduced by one lockstep LLL at d >= 3, or run
@@ -104,15 +104,15 @@ def measure_profile(
 ):
     """McEstimate for every (kind, r) on shared samples (common random numbers).
 
-    Every (kind, r) is validated once as a TargetSpec.  Each sample then
-    reads all of them off one membership profile.  Samples are drawn
-    _LLL_CHUNK at a time, and each chunk is answered by one call.  At
-    m = n = 1 that is exact2d.membership_profiles: one lockstep Euclid ladder
-    over the chunk's exact (num, den) gives every Delta, bit-equal to
+    The keys are targets.profile_keys.  Samples are drawn _LLL_CHUNK at a
+    time, each chunk is answered by one membership table with those keys,
+    and the counts are its column sums.  At m = n = 1 that is
+    exact2d.membership_profiles: one lockstep Euclid ladder over the
+    chunk's exact (num, den) gives every Delta, bit-equal to
     Exact2D.delta_flowed, and the slab is enumerated on the ladders of the
     samples with Delta <= max r.  Otherwise the float path pushes the chunk
     as one stack, reduces it with one lockstep LLL and answers it with one
-    targets.membership_profiles call, whose enumerations and kernel calls
+    targets.membership_profiles table, whose enumerations and kernel calls
     each cover many lattices at once.
     """
     if s_push < 5.0:
@@ -121,25 +121,20 @@ def measure_profile(
         raise ValidationError("N must be >= 1000")
     kinds = list(kinds)
     r_values = [float(r) for r in r_values]
-    specs = [TargetSpec(kind, r, w) for kind in kinds for r in r_values]
-    counts = {(spec.kind, spec.r): 0 for spec in specs}
+    keys = profile_keys(kinds, r_values, w)
+    counts = np.zeros(len(keys), dtype=np.int64)
     dims = w.dims
     for A in _torus_chunks(seed, label, N, dims.m, dims.n):
         if dims.m == 1 and dims.n == 1:
-            keys, hits = exact_profiles(A, s_push, kinds, r_values)
-            for key, hit in zip(keys, hits.sum(axis=0).tolist()):
-                counts[key] += hit
+            _, hits = exact_profiles(A, s_push, kinds, r_values)
         else:
             chunk = flowed_lattices(matrix_bases(A), s_push, w)
             reduce_lattices(chunk)
-            for hits in membership_profiles(chunk, kinds, r_values, w):
-                for key, hit in hits.items():
-                    counts[key] += hit
+            _, hits = membership_profiles(chunk, kinds, r_values, w)
+        counts += hits.sum(axis=0)
     return {
-        key: _estimate(
-            counts[key], N, 1.0, (key[0], key[1], dims.m, dims.n, s_push, N, seed, label)
-        )
-        for key in counts
+        key: _estimate(count, N, 1.0, (key[0], key[1], dims.m, dims.n, s_push, N, seed, label))
+        for key, count in zip(keys, counts.tolist())
     }
 
 
@@ -147,12 +142,6 @@ def _torus_chunks(seed: int, label: str, N: int, m: int, n: int):
     """The torus samples of indices 0..N-1, as _LLL_CHUNK-row stacks."""
     for start in range(0, N, _LLL_CHUNK):
         yield torus_samples(seed, label, start, min(start + _LLL_CHUNK, N), m, n)
-
-
-def _scalar_samples(seed: int, label: str, N: int):
-    """The m = n = 1 torus samples of indices 0..N-1, as floats."""
-    for A in _torus_chunks(seed, label, N, 1, 1):
-        yield from A.ravel().tolist()
 
 
 def estimate_measure_equidist(
@@ -393,7 +382,8 @@ def pair_correlation(
 
     h_k(A) is the indicator of g_k L_A hitting the thickened primed target
     of radius 2 rho(k).  With independent=True the second indicator uses a
-    fresh sample (decorrelation sanity check).
+    fresh sample (decorrelation sanity check).  Each chunk of samples takes
+    two d = 2 tables (exact2d.membership_profiles), at sigma = i and j.
     """
     if not j > i >= 1:
         raise ValidationError("need j > i >= 1")
@@ -403,17 +393,15 @@ def pair_correlation(
         raise ValidationError("N must be >= 100")
     r_i = 2.0 * float(rho(i))
     r_j = 2.0 * float(rho(j))
-    window = _WINDOWS[KIND_THICK_PRIMED]
     c_i = c_j = c_ij = 0
-    second = _scalar_samples(seed, label + "-indep", N) if independent else None
-    for a in _scalar_samples(seed, label, N):
-        ex1 = Exact2D.of(a)
-        h_i = ex1.hits_thick(float(i), window, r_i, primed=True)
-        ex2 = Exact2D.of(next(second)) if independent else ex1
-        h_j = ex2.hits_thick(float(j), window, r_j, primed=True)
-        c_i += h_i
-        c_j += h_j
-        c_ij += h_i and h_j
+    second = _torus_chunks(seed, label + "-indep", N, 1, 1) if independent else None
+    for A in _torus_chunks(seed, label, N, 1, 1):
+        h_i = exact_profiles(A, float(i), [KIND_THICK_PRIMED], [r_i])[1][:, 0]
+        B = next(second) if independent else A
+        h_j = exact_profiles(B, float(j), [KIND_THICK_PRIMED], [r_j])[1][:, 0]
+        c_i += int(h_i.sum())
+        c_j += int(h_j.sum())
+        c_ij += int((h_i & h_j).sum())
     b_i = c_i / N
     b_j = c_j / N
     b_ij = c_ij / N - b_i * b_j

@@ -20,10 +20,11 @@ lattices.  Since it reads nothing but log-moduli, the float path here
 
 `membership_profiles` enumerates each lattice at most once and reads every
 (kind, r) off that one point set: the cubes, slabs and thickening windows
-are all nested in one enumerated cube.  It answers a list of lattices a
-pass at a time (`lattice.lattices_per_pass`), each pass with batched
-enumerations of all its lattices; `membership_profile` is its N = 1 form,
-and `thickened_hits` answers one thickened target per lattice of a list.
+are all nested in one enumerated cube.  It answers a list of lattices as
+one table of `profile_keys` columns by lattice rows, as exact2d's d = 2
+table does, a pass at a time (`lattice.lattices_per_pass`), each pass
+with batched enumerations of all its lattices; `membership_profile` reads
+its row 0, and `thickened_hits` answers one thickened target per lattice.
 """
 
 from __future__ import annotations
@@ -306,11 +307,19 @@ def thickened_hits(lattices, kind: str, radii, w: WeightPair, cap: int = 500_000
     return hits
 
 
-def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: int = 500_000):
-    """Exact membership of every lattice of a list for every (kind, r), lattice by lattice.
+def profile_keys(kinds, r_values, w: WeightPair | None) -> list:
+    """The keys (kind, r) of a membership table (this module's or exact2d's),
+    kinds outer, without repeats, each validated as a TargetSpec."""
+    r_values = list(r_values)
+    specs = (TargetSpec(kind, r, w) for kind in kinds for r in r_values)
+    return list(dict.fromkeys((spec.kind, spec.r) for spec in specs))
 
-    Yields each lattice's profile, a dict keyed by (kind, r) with r_values
-    outer and kinds inner.  The lattices are answered in passes of
+
+def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: int = 500_000):
+    """Exact membership of every lattice of a list for every (kind, r), as one table.
+
+    Returns the profile_keys and one bool row per lattice, one column per
+    key.  The lattices are answered in passes of
     lattices_per_pass of the largest box a pass enumerates.  A pass makes
     batched enumerations, one point evaluation per enumerated block, one
     `contains_rows` pass per cube or slab over all of its rows, and at most
@@ -323,15 +332,16 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: in
     slab, and for several r one enumeration of a closed cube holding every
     open cube and slab.  Every answer equals the single query's.
     """
-    specs = [TargetSpec(kind, r, w if kind in _WINDOWS else None) for r in r_values for kind in kinds]
+    keys = profile_keys(kinds, r_values, w)
+    hits = np.zeros((len(lattices), len(keys)), dtype=bool)
     if not lattices:
-        return
+        return keys, hits
     d = lattices[0].d
-    keys = [(spec.kind, spec.r) for spec in specs]
-    thick = [spec for spec in specs if spec.thick]
-    radii = list(dict.fromkeys(spec.r for spec in specs if not spec.thick))
+    thick_cols = [col for col, (kind, _) in enumerate(keys) if kind in _WINDOWS]
+    thick = [TargetSpec(*keys[col], w) for col in thick_cols]
+    radii = list(dict.fromkeys(r for kind, r in keys if kind not in _WINDOWS))
     cubes = [Box.open_cube(math.exp(-r), d) for r in radii]
-    slabs = [r_box(r, d) for r in radii] if any(spec.kind == KIND_PRIMED for spec in specs) else []
+    slabs = [r_box(r, d) for r in radii] if any(kind == KIND_PRIMED for kind, _ in keys) else []
     size = len(lattices)
     if thick:
         size = lattices_per_pass(_candidate_cube(max(spec.window for spec in thick), d))
@@ -342,12 +352,11 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: in
     for start in range(0, len(lattices), size):
         part = lattices[start : start + size]
         n = len(part)
-        answers = {}  # (kind, r) -> one bool per lattice of the pass
+        rows = hits[start : start + n]
         points = owner = None
         if thick:
             points, owner, found = _witness_table(part, [thick] * n, w, cap)
-            for t, spec in enumerate(thick):
-                answers[(spec.kind, spec.r)] = [bool(ivs[t]) for ivs in found]
+            rows[:, thick_cols] = [[bool(ivs) for ivs in row] for row in found]
         if radii:
             in_cube = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in the open cube at r
             in_slab = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in r_box(r, d)
@@ -364,19 +373,19 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: in
                 for hit, boxes in ((in_cube, cubes), (in_slab, slabs)):
                     for k, box in enumerate(boxes):
                         hit[k, owner[box.contains_rows(points)]] = True
-            for k, r in enumerate(radii):
-                answers[(KIND_SUB, r)] = (~in_cube[k]).tolist()
-                answers[(KIND_PRIMED, r)] = (~in_cube[k] & in_slab[k]).tolist()
-        columns = [answers[key] for key in keys]
-        for i in range(n):
-            yield {key: column[i] for key, column in zip(keys, columns)}
+            for col, (kind, r) in enumerate(keys):
+                if kind in (KIND_SUB, KIND_PRIMED):
+                    k = radii.index(r)
+                    rows[:, col] = ~in_cube[k] & (in_slab[k] if kind == KIND_PRIMED else True)
+    return keys, hits
 
 
 def membership_profile(
     L: UnimodularLattice, kinds, r_values, w: WeightPair | None, cap: int = 500_000
 ) -> dict:
-    """Exact membership of L for every (kind, r): the N = 1 form of membership_profiles."""
-    return next(membership_profiles([L], kinds, r_values, w, cap))
+    """Exact membership of L for every (kind, r): row 0 of membership_profiles."""
+    keys, hits = membership_profiles([L], kinds, r_values, w, cap)
+    return dict(zip(keys, hits[0].tolist()))
 
 
 def in_target(L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000) -> bool:

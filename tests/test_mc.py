@@ -203,6 +203,48 @@ def test_pair_correlation_gap_decorrelates():
     assert rep.ratio < 1.0
 
 
+def _pair_correlation_reference(i, j, rho, N, seed, independent, label="paircorr"):
+    """pair_correlation from one Exact2D per sample and its hits_thick."""
+    r_i, r_j = 2.0 * float(rho(i)), 2.0 * float(rho(j))
+    window = 0.5  # thick_primed
+    c_i = c_j = c_ij = 0
+    for k in range(N):
+        ex1 = Exact2D.of(sample_torus(substream(seed, label, k), 1, 1))
+        h_i = ex1.hits_thick(float(i), window, r_i, primed=True)
+        ex2 = Exact2D.of(sample_torus(substream(seed, label + "-indep", k), 1, 1)) if independent else ex1
+        h_j = ex2.hits_thick(float(j), window, r_j, primed=True)
+        c_i += h_i
+        c_j += h_j
+        c_ij += h_i and h_j
+    b_i, b_j = c_i / N, c_j / N
+    b_ij = c_ij / N - b_i * b_j
+    zero = c_i == 0 or c_j == 0
+    ratio = math.inf if zero else abs(b_ij) / (b_i * b_j)
+    params_hash = mc._params_hash(i, j, r_i, r_j, N, seed, independent, label)
+    return mc.PairCorrelationReport(i, j, b_i, b_j, b_ij, ratio, N, zero, params_hash)
+
+
+@pytest.mark.parametrize("independent", [False, True])
+def test_pair_correlation_matches_a_per_sample_loop(independent):
+    # N = 300 leaves a last chunk of 300 - 256 = 44 samples; repr prints
+    # every float field round-trip exact, so equal reprs are equal bits
+    rate = RateFunction.constant(0.3, D11)
+    rho = lambda k: 0.5 * 0.9 * rate(float(k + 1))
+    rep = pair_correlation(3, 8, rho, W11, 300, seed=41, independent=independent)
+    assert 300 % mc._LLL_CHUNK == 44
+    assert repr(rep) == repr(_pair_correlation_reference(3, 8, rho, 300, 41, independent))
+    assert not rep.zero_hit
+
+
+@pytest.mark.parametrize("dims", [(1, 1), (1, 2)])
+def test_measure_profile_answers_a_repeated_key_once(dims):
+    w = WeightPair.unweighted(*dims)
+    unique = measure_profile([KIND_SUB, KIND_PRIMED], [0.1, 0.05], w, 10.0, 1000, seed=8)
+    repeated = measure_profile([KIND_SUB, KIND_PRIMED, KIND_SUB], [0.1, 0.05, 0.1], w, 10.0, 1000, seed=8)
+    assert list(repeated) == list(unique) and repeated == unique
+    assert unique[(KIND_PRIMED, 0.1)].mean > 0
+
+
 def test_measure_profile_reduces_each_sample_once(monkeypatch):
     singles, stacks = [], []
     single, batch = lattice.lll_reduce, lattice.lll_reduce_batch

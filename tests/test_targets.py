@@ -6,6 +6,8 @@ import pytest
 from dirichlet_lab import targets
 from dirichlet_lab.approx import DimensionParams
 from dirichlet_lab.errors import ValidationError
+from dirichlet_lab.exact2d import Exact2D
+from dirichlet_lab.exact2d import membership_profiles as exact_profiles
 from dirichlet_lab.lattice import (
     Box,
     UnimodularLattice,
@@ -33,6 +35,7 @@ from dirichlet_lab.targets import (
     membership_profile,
     membership_profiles,
     merge_intervals,
+    profile_keys,
     thickened_witness_intervals,
     witness_from_logs,
 )
@@ -190,6 +193,38 @@ def test_membership_profile_validates():
         membership_profile(L, [KIND_THICK], [0.2], None)
     with pytest.raises(ValidationError):
         membership_profile(L, [KIND_THICK], [0.2], W11)
+    # the d = 2 table, on a float chunk and on a list of A, and its N = 1 form
+    # answer no invalid key either, not even one whose every window the Delta
+    # pre-filter would skip before any radius check
+    assert Exact2D.of(0.3).delta_flowed(10.5) - 0.5 > 5.0 + 1e-9
+    for kinds, radii in (
+        (["bogus", KIND_SUB], [0.1]),
+        ([KIND_SUB], [0.1, 1.5]),
+        ([KIND_PRIMED], [-2.0]),
+        ([KIND_THICK], [5.0]),
+        ([KIND_THICK_PRIMED], [1.0]),
+    ):
+        for samples in (np.array([[0.3], [0.7]]), [0.3, (1, 3)]):
+            with pytest.raises(ValidationError):
+                exact_profiles(samples, 10.0, kinds, radii)
+        with pytest.raises(ValidationError):
+            Exact2D.of(0.3).membership_profile(10.0, kinds, radii)
+
+
+@pytest.mark.parametrize("kinds", [[KIND_PRIMED, KIND_SUB, KIND_PRIMED], [KIND_THICK, KIND_SUB, KIND_THICK]])
+def test_both_tables_key_alike(kinds):
+    # kinds outer, every repeat dropped in first-seen order, at d = 2 and d = 3
+    radii = [0.2, 0.05, 0.2, 0.1]
+    want = [(kind, r) for kind in dict.fromkeys(kinds) for r in (0.2, 0.05, 0.1)]
+    w = WeightPair.unweighted(1, 2)
+    L = apply_flow(lattice_from_matrix(np.array([[0.3, 0.6]]), w.dims), 5.0, w)
+    keys, hits = membership_profiles([L], kinds, radii, w)
+    assert keys == profile_keys(kinds, radii, w) == want and hits.shape == (1, len(want))
+    keys, hits = exact_profiles(np.array([[0.3]]), 5.0, kinds, radii)
+    assert keys == want and hits.shape == (1, len(want))
+    # one pass over each argument, so iterators key alike too
+    again, hits_again = exact_profiles([0.3], 5.0, iter(kinds), iter(radii))
+    assert again == keys and hits_again.tolist() == hits.tolist()
 
 
 def _single_query(L, kind, r, w):
@@ -229,7 +264,7 @@ def test_membership_profile_matches_separate_enumerations(w):
         for chosen in kind_sets:
             for rs in (radii, [radii[i % len(radii)]]):
                 profile = membership_profile(UnimodularLattice(L.basis, dims), chosen, rs, w)
-                assert list(profile) == [(kind, r) for r in rs for kind in chosen]
+                assert list(profile) == [(kind, r) for kind in chosen for r in rs]
                 for key, hit in profile.items():
                     assert type(hit) is bool and hit == expected[key], (i, chosen, key)
     # the samples reach both answers for every kind
@@ -267,7 +302,9 @@ def test_membership_profiles_equal_per_lattice_profiles(m, n):
             for start in range(0, len(bases), chunk):
                 part = [UnimodularLattice(b, dims) for b in bases[start : start + chunk]]
                 reduce_lattices(part)
-                got += list(membership_profiles(part, kinds, radii, w))
+                keys, hits = membership_profiles(part, kinds, radii, w)
+                assert hits.shape == (len(part), len(keys))
+                got += [dict(zip(keys, row)) for row in hits.tolist()]
             assert got == want, (kinds, radii, chunk)
     kinds = {kind for mix, _ in _KIND_MIXES for kind in mix}
     assert seen == {(kind, hit) for kind in kinds for hit in (False, True)}
