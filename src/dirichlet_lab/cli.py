@@ -1,8 +1,10 @@
 """Command-line interface.
 
 Subcommands: classify, dani, check, measure, orbit, disjoint, crossval.
-Every flag has a config-file equivalent (flat key=value; --set overrides);
---seed and --out are global.  Exit codes: 0 success, 1 validation error,
+A flag's config key is its argparse dest (--s-push sets measure.s_push);
+a run reads a --config file (flat key=value), then each --set KEY=VALUE,
+then the flags.  --seed and --out are global.  A key that no run reads
+(config.KEYS) is an error.  Exit codes: 0 success, 1 validation error,
 2 budget error.  Work is keyed by sample index and aggregated in index
 order.  --threads is validated (>= 1) and otherwise ignored: all work runs
 on one thread, because the lab's pure-Python work gained nothing from more.
@@ -22,7 +24,7 @@ import numpy as np
 from . import __version__
 from .approx import classify_series, validate_psi
 from .cf import cf_uncovered_intervals
-from .config import ExperimentConfig
+from .config import KEYS, ExperimentConfig
 from .dirichlet import psi_dirichlet_scan
 from .errors import BudgetError, DirichletLabError, ValidationError
 from .exact2d import Exact2D
@@ -63,67 +65,48 @@ def _build_parser() -> _Parser:
     common.add_argument("--out", type=str)
 
     p = sub.add_parser("classify", parents=[common], help="series verdict for psi")
-    p.add_argument("--horizons", type=str)
+    p.add_argument("--horizons", dest="series.horizons", type=str)
 
     p = sub.add_parser("dani", parents=[common], help="emit r(s), t(s) tables")
-    p.add_argument("--s-max", dest="s_max", type=str)
-    p.add_argument("--s-step", dest="s_step", type=str)
+    p.add_argument("--s-max", dest="dani.s_max", type=str)
+    p.add_argument("--s-step", dest="dani.s_step", type=str)
 
     p = sub.add_parser("check", parents=[common], help="psi-Dirichlet scan for a matrix")
     p.add_argument("--A", type=str)
-    p.add_argument("--T", type=str)
-    p.add_argument("--classic", action="store_true")
-    p.add_argument("--oracle", choices=("cf", "lattice", "both"))
+    p.add_argument("--T", dest="check.T", type=str)
+    p.add_argument("--classic", dest="check.classic", action="store_const", const="true")
+    p.add_argument("--oracle", dest="check.oracle", choices=("cf", "lattice", "both"))
 
     p = sub.add_parser("measure", parents=[common], help="MC estimates + scaling fit")
-    p.add_argument("--kinds", type=str)
-    p.add_argument("--r-values", dest="r_values", type=str)
-    p.add_argument("--N", type=str)
-    p.add_argument("--s-push", dest="s_push", type=str)
+    p.add_argument("--kinds", dest="measure.kinds", type=str)
+    p.add_argument("--r-values", dest="measure.r_values", type=str)
+    p.add_argument("--N", dest="measure.n", type=str)
+    p.add_argument("--s-push", dest="measure.s_push", type=str)
 
     p = sub.add_parser("orbit", parents=[common], help="hit series / zero-one contrast")
-    p.add_argument("--mode", choices=("series", "contrast"))
+    p.add_argument("--mode", dest="orbit.mode", choices=("series", "contrast"))
     p.add_argument("--A", type=str)
-    p.add_argument("--k-min", dest="k_min", type=str)
-    p.add_argument("--k-max", dest="k_max", type=str)
-    p.add_argument("--a", type=str)
+    p.add_argument("--k-min", dest="orbit.k_min", type=str)
+    p.add_argument("--k-max", dest="orbit.k_max", type=str)
+    p.add_argument("--a", dest="orbit.a", type=str)
     p.add_argument("--ensemble", type=str)
-    p.add_argument("--variant", choices=("upper", "lower", "ndi"))
+    p.add_argument("--variant", dest="orbit.variant", choices=("upper", "lower", "ndi"))
 
     p = sub.add_parser("disjoint", parents=[common], help="disjointness verification")
-    p.add_argument("--r", type=str)
-    p.add_argument("--samples", type=str)
+    p.add_argument("--r", dest="disjoint.r", type=str)
+    p.add_argument("--samples", dest="disjoint.samples", type=str)
 
     p = sub.add_parser("crossval", parents=[common], help="correspondence cross-validation")
-    p.add_argument("--S", type=str)
+    p.add_argument("--S", dest="crossval.S", type=str)
     p.add_argument("--ensemble", type=str)
     return parser
 
 
-_ALIAS_KEYS = {
-    "horizons": "series.horizons",
-    "s_max": "dani.s_max",
-    "s_step": "dani.s_step",
-    "A": "A",
-    "T": "check.T",
-    "oracle": "check.oracle",
-    "kinds": "measure.kinds",
-    "r_values": "measure.r_values",
-    "N": "measure.n",
-    "s_push": "measure.s_push",
-    "mode": "orbit.mode",
-    "k_min": "orbit.k_min",
-    "k_max": "orbit.k_max",
-    "a": "orbit.a",
-    "ensemble": "ensemble",
-    "variant": "orbit.variant",
-    "r": "disjoint.r",
-    "samples": "disjoint.samples",
-    "S": "crossval.S",
-}
-
-
 def _merge_config(args) -> ExperimentConfig:
+    """The run's config: the --config file, then --set, then each flag under its dest.
+
+    Raises ValidationError for a key that no run reads (config.KEYS).
+    """
     cfg = ExperimentConfig({})
     if args.config:
         cfg = ExperimentConfig.from_text(Path(args.config).read_text())
@@ -132,17 +115,12 @@ def _merge_config(args) -> ExperimentConfig:
             raise ValidationError(f"--set expects KEY=VALUE, got {item!r}")
         key, value = item.split("=", 1)
         cfg.entries[key.strip()] = value.strip()
-    for attr, key in _ALIAS_KEYS.items():
-        val = getattr(args, attr, None)
-        if val is not None:
+    for key, val in vars(args).items():
+        if key not in ("config", "set") and val is not None:
             cfg.entries[key] = str(val)
-    if getattr(args, "classic", False):
-        cfg.entries["check.classic"] = "true"
-    for attr in ("seed", "threads", "out"):
-        val = getattr(args, attr, None)
-        if val is not None:
-            cfg.entries[attr] = str(val)
-    cfg.entries["subcommand"] = args.subcommand
+    unknown = sorted(set(cfg.entries) - KEYS)
+    if unknown:
+        raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
     return cfg
 
 

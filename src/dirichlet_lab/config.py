@@ -10,6 +10,7 @@ Grammar:
     entry   := key '=' value      (whitespace around key/value stripped)
     key     := dotted identifier
 Values are kept verbatim as strings; typed accessors coerce on read.
+`KEYS` is every key a run reads; the CLI refuses any other.
 """
 
 from __future__ import annotations
@@ -30,6 +31,24 @@ from .approx import (
 from .errors import ValidationError
 from .lattice import WeightPair
 from .rate import RateFunction, clamp_rate
+
+# every key a run reads; the CLI refuses any other, so a misspelt key is not
+# silently dropped
+KEYS = frozenset({
+    "subcommand", "seed", "threads", "out",
+    "dims.m", "dims.n", "weights.alpha", "weights.beta",
+    "psi.family", "psi.params", "psi.t0", "psi.knots", "psi.reduce",
+    "rate.source", "rate.value", "rate.gamma", "rate.gamma_prime", "rate.eta",
+    "A", "ensemble",
+    "series.horizons",
+    "dani.s_max", "dani.s_step",
+    "check.T", "check.classic", "check.oracle",
+    "measure.kinds", "measure.r_values", "measure.r_min", "measure.r_max", "measure.r_count",
+    "measure.n", "measure.s_push", "fit.freeze_lambda",
+    "orbit.mode", "orbit.k_min", "orbit.k_max", "orbit.a", "orbit.variant", "orbit.C_r",
+    "disjoint.r", "disjoint.samples",
+    "crossval.S", "crossval.s_step",
+})
 
 DEFAULTS = {
     "seed": "0",

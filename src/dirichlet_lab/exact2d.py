@@ -56,8 +56,8 @@ import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
 from .lattice import WeightPair
-from .targets import _WINDOWS, KIND_PRIMED, KIND_SUB, KIND_THICK, KIND_THICK_PRIMED, TargetSpec
-from .targets import profile_keys, witness_from_logs
+from .targets import _WINDOWS, KIND_PRIMED, KIND_SUB, KIND_THICK_PRIMED
+from .targets import check_radius, profile_keys, witness_from_logs
 
 # Not called here: perfbench traces these names as its `exact2d.intervals` row.
 from .targets import complement_within as _complement  # noqa: F401
@@ -424,9 +424,12 @@ class Exact2D:
     def witness_intervals_batch(self, windows):
         """witness_intervals for every (k, window, r, primed) in windows.
 
-        Each window takes its own Delta pre-filter and candidate box; the
-        rows of all boxes go to one kernel call, each tagged with its window.
+        Every r is checked before any window is skipped.  Each window takes
+        its own Delta pre-filter and candidate box; the rows of all boxes go
+        to one kernel call, each tagged with its window.
         """
+        for _, _, r, _ in windows:
+            check_radius(r)
         logs, slab_ok, counts, queries, kept = [], [], [], [], []
         for idx, (k, window, r, primed) in enumerate(windows):
             _check_sigma(k + window)
@@ -436,7 +439,6 @@ class Exact2D:
             # a witness
             if self.delta_flowed(lo + 0.5 * window) - 0.5 * window > r + 1e-9:
                 continue
-            TargetSpec(KIND_THICK_PRIMED if primed else KIND_THICK, r, _W11)  # validates r
             # one box holding every point that can enter the cube, or for
             # primed kinds the slab, during the window; the clipping to
             # [lo, hi] drops the intervals of points outside the smaller box

@@ -57,6 +57,15 @@ _WINDOWS = {KIND_THICK: 1.0, KIND_THICK_PRIMED: 0.5}
 # intervals shorter than this are treated as empty (boundary tolerance)
 _MIN_LEN = 1e-12
 
+# lattice points one lattice may have in an enumerated box before CapExceeded
+_CAP = 500_000
+
+
+def check_radius(r: float) -> None:
+    """A target radius lies in (0, 1); anything else raises ValidationError."""
+    if not 0.0 < r < 1.0:
+        raise ValidationError("target radius must lie in (0,1)")
+
 
 @dataclass(frozen=True)
 class TargetSpec:
@@ -67,8 +76,7 @@ class TargetSpec:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValidationError(f"unknown target kind {self.kind!r}")
-        if not 0.0 < self.r < 1.0:
-            raise ValidationError("target radius must lie in (0,1)")
+        check_radius(self.r)
         if self.thick and self.weights is None:
             raise ValidationError(f"{self.kind} targets need a WeightPair")
 
@@ -240,26 +248,13 @@ def _check_weights(L: UnimodularLattice, w: WeightPair):
         raise ValidationError("target weights do not match lattice dims")
 
 
-def _witness_intervals(candidates, spec: TargetSpec):
-    """s-subsets of [0, window) on which g_s L lies in the base target.
-
-    `candidates` are the lattice's nonzero points in _candidate_cube(spec.window).
-    """
-    owner = np.zeros(candidates.shape[0], dtype=np.intp)
-    logs = _log_moduli(candidates)
-    return witness_from_logs(logs, candidates[:, 0] > 0.0, owner, [_query(spec)], spec.weights)[0]
+def thickened_witness_intervals(L: UnimodularLattice, spec: TargetSpec):
+    """s-subsets of [0, window) on which g_s L lies in the base target:
+    the N = 1 form of _witness_table."""
+    return _witness_table([L], [[spec]], spec.weights)[2][0][0]
 
 
-def thickened_witness_intervals(
-    L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000
-):
-    """s-subsets of [0, window) on which g_s L lies in the base target."""
-    _check_weights(L, spec.weights)
-    candidates = enumerate_in_box(L, _candidate_cube(spec.window, L.d), cap=cap)
-    return _witness_intervals(candidates, spec)
-
-
-def _witness_table(lattices, table, w: WeightPair, cap: int):
+def _witness_table(lattices, table, w: WeightPair):
     """Interval lists of every thickened spec table[i][t] of lattice i.
 
     Every column t holds one kind.  The candidate cube of the widest window
@@ -273,7 +268,7 @@ def _witness_table(lattices, table, w: WeightPair, cap: int):
         _check_weights(L, w)
     windows = [spec.window for spec in table[0]]
     d = lattices[0].d
-    points, owner = enumerate_in_box_batch(lattices, _candidate_cube(max(windows), d), cap=cap)
+    points, owner = enumerate_in_box_batch(lattices, _candidate_cube(max(windows), d), cap=_CAP)
     # every point lies in the widest cube (enumerate_in_box_batch applies the same test)
     inside = {max(windows): np.arange(points.shape[0])}
     for window in set(windows) - set(inside):
@@ -288,7 +283,7 @@ def _witness_table(lattices, table, w: WeightPair, cap: int):
     return points, owner, [found[i : i + width] for i in range(0, len(found), width)]
 
 
-def thickened_hits(lattices, kind: str, radii, w: WeightPair, cap: int = 500_000) -> list:
+def thickened_hits(lattices, kind: str, radii, w: WeightPair) -> list:
     """Membership of lattice i in the thickened target (kind, radii[i]), for every i.
 
     One _witness_table pass per lattices_per_pass lattices; every answer
@@ -302,7 +297,7 @@ def thickened_hits(lattices, kind: str, radii, w: WeightPair, cap: int = 500_000
         size = lattices_per_pass(_candidate_cube(_WINDOWS[kind], lattices[0].d))
         for start in range(0, len(lattices), size):
             part = slice(start, start + size)
-            _, _, found = _witness_table(lattices[part], [[spec] for spec in specs[part]], w, cap)
+            _, _, found = _witness_table(lattices[part], [[spec] for spec in specs[part]], w)
             hits += [bool(row[0]) for row in found]
     return hits
 
@@ -315,7 +310,7 @@ def profile_keys(kinds, r_values, w: WeightPair | None) -> list:
     return list(dict.fromkeys((spec.kind, spec.r) for spec in specs))
 
 
-def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: int = 500_000):
+def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
     """Exact membership of every lattice of a list for every (kind, r), as one table.
 
     Returns the profile_keys and one bool row per lattice, one column per
@@ -355,19 +350,19 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: in
         rows = hits[start : start + n]
         points = owner = None
         if thick:
-            points, owner, found = _witness_table(part, [thick] * n, w, cap)
+            points, owner, found = _witness_table(part, [thick] * n, w)
             rows[:, thick_cols] = [[bool(ivs) for ivs in row] for row in found]
         if radii:
             in_cube = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in the open cube at r
             in_slab = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in r_box(r, d)
             if points is None:
-                probed = has_nonzero_point_batch(part, cubes[radii.index(max(radii))], cap=cap)
+                probed = has_nonzero_point_batch(part, cubes[radii.index(max(radii))], cap=_CAP)
                 in_cube[:, probed] = True  # the cube at r_max lies in every other
                 rest = np.flatnonzero(~probed)
                 if rest.size and len(radii) == 1 and slabs:
-                    in_slab[0, rest] = has_nonzero_point_batch([part[i] for i in rest], slabs[0], cap=cap)
+                    in_slab[0, rest] = has_nonzero_point_batch([part[i] for i in rest], slabs[0], cap=_CAP)
                 elif rest.size and len(radii) > 1:
-                    points, owner = enumerate_in_box_batch([part[i] for i in rest], cover, cap=cap)
+                    points, owner = enumerate_in_box_batch([part[i] for i in rest], cover, cap=_CAP)
                     owner = rest[owner]
             if points is not None:
                 for hit, boxes in ((in_cube, cubes), (in_slab, slabs)):
@@ -380,36 +375,29 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None, cap: in
     return keys, hits
 
 
-def membership_profile(
-    L: UnimodularLattice, kinds, r_values, w: WeightPair | None, cap: int = 500_000
-) -> dict:
+def membership_profile(L: UnimodularLattice, kinds, r_values, w: WeightPair | None) -> dict:
     """Exact membership of L for every (kind, r): row 0 of membership_profiles."""
-    keys, hits = membership_profiles([L], kinds, r_values, w, cap)
+    keys, hits = membership_profiles([L], kinds, r_values, w)
     return dict(zip(keys, hits[0].tolist()))
 
 
-def in_target(L: UnimodularLattice, spec: TargetSpec, cap: int = 500_000) -> bool:
+def in_target(L: UnimodularLattice, spec: TargetSpec) -> bool:
     """Exact membership of L in the target set."""
-    return membership_profile(L, [spec.kind], [spec.r], spec.weights, cap=cap)[(spec.kind, spec.r)]
+    return membership_profile(L, [spec.kind], [spec.r], spec.weights)[(spec.kind, spec.r)]
 
 
-def in_target_grid_oracle(
-    L: UnimodularLattice,
-    spec: TargetSpec,
-    step: float = 1e-4,
-    cap: int = 500_000,
-) -> bool:
+def in_target_grid_oracle(L: UnimodularLattice, spec: TargetSpec, step: float = 1e-4) -> bool:
     """Dense s-grid re-derivation of thickened membership (test oracle).
 
     Checks the base target directly at each grid point via flowed
     coordinates of the same candidate list; no interval arithmetic.
     """
     if not spec.thick:
-        return in_target(L, spec, cap=cap)
+        return in_target(L, spec)
     w = spec.weights
     _check_weights(L, w)
     window = spec.window
-    candidates = enumerate_in_box(L, _candidate_cube(window, L.d), cap=cap)
+    candidates = enumerate_in_box(L, _candidate_cube(window, L.d), cap=_CAP)
     grid = np.arange(0.0, window, step)
     if candidates.shape[0] == 0:
         return spec.base_kind == KIND_SUB

@@ -294,7 +294,7 @@ def test_cli_calls_share_the_parser_but_not_its_values(tmp_path):
         return config, json.loads((tmp_path / sub / "check.json").read_text())
 
     first, first_check = run(
-        "a", "--A", "0.25", "--T", "100", "--classic", "--seed", "3", "--set", "extra.key=1"
+        "a", "--A", "0.25", "--T", "100", "--classic", "--seed", "3", "--set", "orbit.a=0.5"
     )
     second, second_check = run(
         "b",
@@ -305,12 +305,29 @@ def test_cli_calls_share_the_parser_but_not_its_values(tmp_path):
         "--set", "psi.t0=2.0",
     )
     assert first_check["classic"] and not second_check["classic"]
-    want = {"A": "0.25", "check.T": "100", "seed": "3", "extra.key": "1"}
+    want = {"A": "0.25", "check.T": "100", "seed": "3", "orbit.a": "0.5", "check.classic": "true"}
     assert {key: first[key] for key in want} == want
     assert (second["A"], second["check.T"]) == ("0.0", "50")
-    assert not {"check.classic", "seed", "extra.key"} & set(second)
+    assert not {"check.classic", "seed", "orbit.a"} & set(second)
     assert "psi.family" not in first
     assert _build_parser() is _build_parser()
+
+
+def test_cli_refuses_a_key_no_run_reads(tmp_path, capsys):
+    # measure.N for measure.n: before, the run went ahead at N = 10 000
+    out = tmp_path / "out"
+    assert cli_main(["measure", "--set", "measure.N=1000", "--out", str(out)]) == 1
+    assert "'measure.N'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_refuses_a_config_file_key_no_run_reads(tmp_path, capsys):
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("measure.n=1000\nmeasure.spush=5\n")
+    out = tmp_path / "out"
+    assert cli_main(["measure", "--config", str(cfg_file), "--out", str(out)]) == 1
+    assert "'measure.spush'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_manifest_digests_match(tmp_path):

@@ -211,6 +211,22 @@ def test_membership_profile_validates():
             Exact2D.of(0.3).membership_profile(10.0, kinds, radii)
 
 
+def test_exact_witness_windows_check_r_before_the_prefilter():
+    # Delta clears r by more than half the window at each bad window below, so
+    # the pre-filter skips it; its radius is refused all the same
+    ex = Exact2D.of(0.3)
+    assert ex.delta_flowed(10.5) - 0.5 > 5.0 + 1e-9
+    with pytest.raises(ValidationError):
+        ex.hits_thick(10.0, 1.0, 5.0, False)
+    with pytest.raises(ValidationError):
+        ex.witness_intervals(10.0, 0.5, -1.0, True)
+    good = [(k, 1.0, 0.1, primed) for k in (2.0, 5.0) for primed in (False, True)]
+    want = ex.witness_intervals_batch(good)
+    assert any(want)
+    with pytest.raises(ValidationError):
+        ex.witness_intervals_batch([*good[:2], (10.0, 1.0, 5.0, False), *good[2:]])
+
+
 @pytest.mark.parametrize("kinds", [[KIND_PRIMED, KIND_SUB, KIND_PRIMED], [KIND_THICK, KIND_SUB, KIND_THICK]])
 def test_both_tables_key_alike(kinds):
     # kinds outer, every repeat dropped in first-seen order, at d = 2 and d = 3
@@ -402,7 +418,7 @@ def test_witness_kernel_is_bit_equal_to_per_point_formulas(w):
             candidates = enumerate_in_box(L, cube)
             for r in (0.02, 0.1, 0.3, 0.7):
                 spec = TargetSpec(kind, r, w)
-                got = targets._witness_intervals(candidates, spec)
+                got = thickened_witness_intervals(L, spec)
                 assert repr(got) == repr(_witness_intervals_reference(candidates, spec))
                 nonempty += bool(got)
     assert nonempty >= 10
@@ -422,7 +438,7 @@ def test_grouped_kernel_equals_one_call_per_query(w):
             for r in (0.02, 0.1, 0.3, 0.7):
                 spec = TargetSpec(kind, r, w)
                 groups.append((candidates, targets._query(spec)))
-                assert repr(targets._witness_intervals(candidates, spec)) == repr(
+                assert repr(thickened_witness_intervals(L, spec)) == repr(
                     _witness_intervals_reference(candidates, spec)
                 )
         groups += [(no_rows, (0.1, False, 0.0, 1.0)), (no_rows, (0.1, True, 0.0, 0.5))]
