@@ -3,10 +3,10 @@
 Subcommands: classify, dani, check, measure, orbit, disjoint, crossval.
 A flag's config key is its argparse dest (--s-push sets measure.s_push);
 a run reads a --config file (flat key=value), then each --set KEY=VALUE,
-then the flags.  --seed and --out are global.  A key that no run reads
-(config.KEYS) is an error.  Exit codes: 0 success, 1 validation error,
-2 budget error.  Work is keyed by sample index and aggregated in index
-order.  --threads is validated (>= 1) and otherwise ignored: all work runs
+then the flags.  --seed and --out are global.  A key the subcommand does
+not read (config.SHARED_KEYS, config.SUBCOMMAND_KEYS) is an error.  Exit
+codes: 0 success, 1 validation error, 2 budget error.  Work is keyed by
+sample index and aggregated in index order.  --threads is validated (>= 1) and otherwise ignored: all work runs
 on one thread, because the lab's pure-Python work gained nothing from more.
 """
 
@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .approx import classify_series, validate_psi
 from .cf import cf_uncovered_intervals
-from .config import KEYS, ExperimentConfig
+from .config import SHARED_KEYS, SUBCOMMAND_KEYS, ExperimentConfig
 from .dirichlet import psi_dirichlet_scan
 from .errors import BudgetError, DirichletLabError, ValidationError
 from .exact2d import Exact2D
@@ -43,7 +43,17 @@ from .rng import torus_samples
 from .targets import KIND_PRIMED, KIND_SUB
 
 
+class _KeyFormatter(argparse.HelpFormatter):
+    """Shows a flag's value as its config key, in the case --set takes it."""
+
+    def _get_default_metavar_for_optional(self, action):
+        return action.dest
+
+
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, formatter_class=_KeyFormatter, **kwargs)
+
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ValidationError(message)
@@ -56,7 +66,7 @@ def _build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
     common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", type=str, help="config file (key=value lines)")
+    common.add_argument("--config", type=str, metavar="FILE", help="config file (key=value lines)")
     common.add_argument("--set", action="append", default=[], metavar="KEY=VALUE")
     common.add_argument("--seed", type=int)
     common.add_argument(
@@ -105,7 +115,8 @@ def _build_parser() -> _Parser:
 def _merge_config(args) -> ExperimentConfig:
     """The run's config: the --config file, then --set, then each flag under its dest.
 
-    Raises ValidationError for a key that no run reads (config.KEYS).
+    Raises ValidationError for a key the subcommand does not read
+    (config.SHARED_KEYS and its config.SUBCOMMAND_KEYS).
     """
     cfg = ExperimentConfig({})
     if args.config:
@@ -118,9 +129,10 @@ def _merge_config(args) -> ExperimentConfig:
     for key, val in vars(args).items():
         if key not in ("config", "set") and val is not None:
             cfg.entries[key] = str(val)
-    unknown = sorted(set(cfg.entries) - KEYS)
+    subcommand = cfg.entries["subcommand"]
+    unknown = sorted(set(cfg.entries) - SHARED_KEYS - SUBCOMMAND_KEYS[subcommand])
     if unknown:
-        raise ValidationError(f"unknown config key {', '.join(map(repr, unknown))}")
+        raise ValidationError(f"{subcommand} does not read config key {', '.join(map(repr, unknown))}")
     return cfg
 
 

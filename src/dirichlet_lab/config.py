@@ -10,7 +10,9 @@ Grammar:
     entry   := key '=' value      (whitespace around key/value stripped)
     key     := dotted identifier
 Values are kept verbatim as strings; typed accessors coerce on read.
-`KEYS` is every key a run reads; the CLI refuses any other.
+`KEYS` is every key a run reads: `SHARED_KEYS`, which every subcommand
+takes, and `SUBCOMMAND_KEYS`, the keys each subcommand's handler reads.
+The CLI refuses a key its subcommand does not take.
 """
 
 from __future__ import annotations
@@ -32,23 +34,35 @@ from .errors import ValidationError
 from .lattice import WeightPair
 from .rate import RateFunction, clamp_rate
 
-# every key a run reads; the CLI refuses any other, so a misspelt key is not
-# silently dropped
-KEYS = frozenset({
+# keys every subcommand takes: the run's own, dimensions, weights, psi and rate
+SHARED_KEYS = frozenset({
     "subcommand", "seed", "threads", "out",
     "dims.m", "dims.n", "weights.alpha", "weights.beta",
     "psi.family", "psi.params", "psi.t0", "psi.knots", "psi.reduce",
     "rate.source", "rate.value", "rate.gamma", "rate.gamma_prime", "rate.eta",
-    "A", "ensemble",
-    "series.horizons",
-    "dani.s_max", "dani.s_step",
-    "check.T", "check.classic", "check.oracle",
-    "measure.kinds", "measure.r_values", "measure.r_min", "measure.r_max", "measure.r_count",
-    "measure.n", "measure.s_push", "fit.freeze_lambda",
-    "orbit.mode", "orbit.k_min", "orbit.k_max", "orbit.a", "orbit.variant", "orbit.C_r",
-    "disjoint.r", "disjoint.samples",
-    "crossval.S", "crossval.s_step",
 })
+
+# the keys each subcommand's handler reads besides the shared ones
+SUBCOMMAND_KEYS = {
+    "classify": frozenset({"series.horizons"}),
+    "dani": frozenset({"dani.s_max", "dani.s_step"}),
+    "check": frozenset({"A", "check.T", "check.classic", "check.oracle"}),
+    "measure": frozenset({
+        "measure.kinds", "measure.r_values", "measure.r_min", "measure.r_max", "measure.r_count",
+        "measure.n", "measure.s_push", "fit.freeze_lambda",
+    }),
+    "orbit": frozenset({
+        "A", "ensemble",
+        "orbit.mode", "orbit.k_min", "orbit.k_max", "orbit.a", "orbit.variant", "orbit.C_r",
+    }),
+    "disjoint": frozenset({"disjoint.r", "disjoint.samples"}),
+    "crossval": frozenset({"ensemble", "crossval.S", "crossval.s_step"}),
+}
+
+# every key a run reads; the CLI refuses any other, and any key the
+# subcommand does not read, so a misspelt or misplaced key is not silently
+# dropped
+KEYS = SHARED_KEYS.union(*SUBCOMMAND_KEYS.values())
 
 DEFAULTS = {
     "seed": "0",

@@ -30,13 +30,22 @@ settle walk starts; the walk reads log_int (math.log) on the rungs it
 visits, in delta_flowed's expressions and order, so each Delta is bit-equal
 to delta_flowed's.  No numpy transcendental function is called, and every
 value that decides a count comes from math.log.  The slab of a row that
-needs one is enumerated on that row's rungs.
+needs one is read off that row's rungs.
 
-Thickened membership needs exact integers only for the log-moduli of the
-points in one candidate box per window; the windows of one orbit or one
-profile hand their points' logs, each row tagged with its window, to one
-call of targets.witness_from_logs, the array kernel of the float path,
-which gives the s-intervals and the interval algebra.
+Thickened and primed membership take their candidates off the ladder:
+the rungs in one candidate box per window (or per slab), found by two
+bisections, with the logs the ladder already holds.  Every lattice point
+is dominated in (|N|, q) by a rung (Lagrange; Khinchin, Thms 16-17), so
+the rungs give every cube-entry interval the box does.  A point in the
+primed slab at radius r has |N| q < (1 + r/4) sqrt(r) den; while that is
+at most 0.49 den (r <= 0.2161, a margin under Legendre's den/2 at
+r* ~ 0.2242), a primitive one is a convergent (Khinchin, Thm 19) and a
+multiple j u, j >= 2, has u in the open cube, so the rungs are every
+candidate that can change a hit (_slab_on_rungs).  A primed window or
+slab at a larger r enumerates its box (_box_walk).  The windows of one
+orbit or one profile hand their candidates' logs, each row tagged with
+its window, to one call of targets.witness_from_logs, the array kernel
+of the float path, which gives the s-intervals and the interval algebra.
 
 The ladder grows in place, one Euclid step per rung, and each query grows
 it only as far as it reads: Delta at sigma to the first key past 2 sigma,
@@ -50,7 +59,7 @@ from __future__ import annotations
 import functools
 import math
 import operator
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 
 import numpy as np
 
@@ -174,6 +183,25 @@ def _box_walk(points, grow, den: int, n_max: int, q_max: int, coeff_cap: int = 5
                 n, q = -n, -q
             if abs(n) <= n_max and q <= q_max:
                 yield n, q
+
+
+# Legendre's bound 1/2 on (1 + r/4) sqrt r, less a margin for the float logs
+# that place a point in the slab; see _slab_on_rungs
+_RUNG_SLAB_BOUND = 0.49
+
+
+def _slab_on_rungs(r: float) -> bool:
+    """Are the rungs in a slab box the only candidates a primed target at r needs?
+
+    A point (N, q) of L_A in the slab (1 - r/4, 1 + r/4) x (-sqrt r, sqrt r)
+    at some flow time has |N| q < (1 + r/4) sqrt(r) den.  When that is below
+    den/2, a primitive such point is a convergent (Legendre; Khinchin,
+    Continued Fractions, Thm 19), so a rung, and a multiple j u, j >= 2,
+    puts u in the open cube of radius r (each coordinate below half its
+    bound) whenever it is in the slab, so it changes no hit.  The bound
+    holds for r < r* ~ 0.2242; with the margin 0.49 for r <= 0.2161.
+    """
+    return (1.0 + r / 4.0) * math.sqrt(r) <= _RUNG_SLAB_BOUND
 
 
 def _capped(points, cap: int = 4096) -> list:
@@ -339,6 +367,19 @@ class Exact2D:
     def _box_points(self, n_max: int, q_max: int, cap: int = 4096):
         return _capped(self._iter_box_points(n_max, q_max), cap)
 
+    def _box_rungs(self, n_max: int, q_max: int) -> range:
+        """Indices of the rungs with |N_k| <= n_max and q_k <= q_max.
+
+        |N_k| falls and q_k rises along the ladder, so they form one range,
+        found by two bisections once the ladder is grown until q > q_max or
+        N = 0.  Rung 0, (-den, 0), is among them when den <= n_max.
+        """
+        points = self._points
+        while points[-1][1] <= q_max and self._grow():
+            pass
+        lo = bisect_left(points, True, key=lambda p: abs(p[0]) <= n_max)
+        return range(lo, bisect_right(points, q_max, key=operator.itemgetter(1)))
+
     def any_point_in_box(self, n_strict: int, q_max: int) -> bool:
         """Is there a point with |N| < n_strict (exact) and 1 <= q <= q_max?
 
@@ -425,12 +466,27 @@ class Exact2D:
         """witness_intervals for every (k, window, r, primed) in windows.
 
         Every r is checked before any window is skipped.  Each window takes
-        its own Delta pre-filter and candidate box; the rows of all boxes go
-        to one kernel call, each tagged with its window.
+        its own Delta pre-filter and candidate box; the candidates of all
+        windows go to one kernel call, each row tagged with its window.
+
+        The candidates are the rungs in the box (_box_rungs), with the logs
+        the ladder holds, unless the window is primed and r fails
+        _slab_on_rungs; such a window enumerates its box (_box_points).
+        Every lattice point is dominated in (|N|, q) by a rung (Lagrange;
+        Khinchin, Continued Fractions, Thms 16-17), and that rung's
+        cube-entry interval holds the point's: log_int and the kernel's
+        subtractions are monotone (log_int up to one ulp across a power of
+        two above 2^53, which a rung and a point it dominates only straddle
+        if their |N| or their q agree to about 13 digits).  Under
+        _slab_on_rungs (r <= 0.2161, margin 0.49 under Legendre's 1/2; Thm
+        19) every point that can reach the slab outside the cube is a rung.
+        So the rungs give the box's intervals; unlike the box walk they
+        never raise CapExceeded.
         """
         for _, _, r, _ in windows:
             check_radius(r)
-        logs, slab_ok, counts, queries, kept = [], [], [], [], []
+        log_n, log_q, log_den = self._log_n, self._log_q, self.log_den
+        logs, counts, queries, kept = [], [], [], []
         for idx, (k, window, r, primed) in enumerate(windows):
             _check_sigma(k + window)
             lo, hi = float(k), float(k) + float(window)
@@ -449,18 +505,25 @@ class Exact2D:
                 n_max = self._n_threshold(-lo - r)
                 q_log = hi - r
             q_max = int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1
-            box = self._box_points(n_max, q_max)
-            for n, q in box:
-                logs.append((log_int(abs(n)) - self.log_den if n else -math.inf, log_int(q) if q else -math.inf))
-                slab_ok.append(n != 0)
-            counts.append(len(box))
+            if primed and not _slab_on_rungs(r):
+                box = self._box_points(n_max, q_max)
+                logs += [
+                    (log_int(abs(n)) - log_den if n else -math.inf, log_int(q) if q else -math.inf)
+                    for n, q in box
+                ]
+                counts.append(len(box))
+            else:
+                rungs = self._box_rungs(n_max, q_max)
+                logs += [(log_n[k] - log_den, log_q[k]) for k in rungs]
+                counts.append(len(rungs))
             queries.append((r, primed, lo, hi))
             kept.append(idx)
         out = [[] for _ in windows]
         if queries:
+            logs = np.array(logs, dtype=float).reshape(-1, 2)
             found = witness_from_logs(
-                np.array(logs, dtype=float).reshape(-1, 2),
-                np.array(slab_ok, dtype=bool),
+                logs,
+                logs[:, 0] > -math.inf,  # N != 0
                 np.repeat(np.arange(len(queries)), counts),
                 queries,
                 _W11,
@@ -492,11 +555,15 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
     is a float array with one A per row (a chunk of torus samples).  Delta
     is computed once per sample: by one lockstep ladder over all rows with
     den <= 2^62 (_lockstep_ladders), by its own Exact2D for any other row.
-    Unless Delta exceeds every r, the slab is enumerated once, at the
-    largest r, on the sample's ladder: every smaller slab lies inside it, so
-    each primed(r) is read off those points.  Thickened kinds flow each
-    sample's Exact2D over [sigma, sigma + window), windows as in targets,
-    all in one witness_intervals_batch call.
+    Unless Delta exceeds every r, the slab's candidates are found once, at
+    the largest r, on the sample's ladder: every smaller slab lies inside
+    it, so each primed(r) is read off those points.  When the largest r
+    passes _slab_on_rungs (r <= 0.2161) the candidates are the rungs in the
+    slab box (_rung_slab_hits), read off the lockstep columns; otherwise
+    the box is walked (_slab_points), which can raise CapExceeded where the
+    rungs do not.  Thickened kinds flow each sample's Exact2D over
+    [sigma, sigma + window), windows as in targets, all in one
+    witness_intervals_batch call.
     """
     keys = profile_keys(kinds, r_values, _W11)
     exacts, num, den = _fractions(samples)
@@ -513,17 +580,20 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
         primed = [col for col, (kind, _) in enumerate(keys) if kind == KIND_PRIMED]
         bounds = [_slab_bounds(keys[col][1]) for col in primed]
         r_max = max(r for _, r in keys)
-        rows = np.flatnonzero(deltas <= r_max + 1e-12).tolist() if primed else []
-        found = []
-        for i in rows:
-            if wide[i]:
-                ex = exacts[i]
-                ladder = ex._points, ex._grow, ex.den, ex.log_den
-            else:
-                points, grow = _row_ladder(R[: length[i], i], Q[: length[i], i])
-                ladder = points, grow, int(den[i]), float(log_den[i])
-            logs = [_slab_logs(ladder[3], n, q, sigma) for n, q in _slab_points(*ladder, sigma, r_max)]
-            found.append([any(_in_slab(point, b) for point in logs) for b in bounds])
+        rows = np.flatnonzero(deltas <= r_max + 1e-12) if primed else np.zeros(0, dtype=np.intp)
+        if _slab_on_rungs(r_max):
+            found = _rung_slab_hits(rows, exacts, wide, num, den, R, Q, log_den, sigma, r_max, bounds)
+        else:
+            found = []
+            for i in rows.tolist():
+                if wide[i]:
+                    ex = exacts[i]
+                    ladder = ex._points, ex._grow, ex.den, ex.log_den
+                else:
+                    points, grow = _row_ladder(R[: length[i], i], Q[: length[i], i])
+                    ladder = points, grow, int(den[i]), float(log_den[i])
+                logs = [_slab_logs(ladder[3], n, q, sigma) for n, q in _slab_points(*ladder, sigma, r_max)]
+                found.append([any(_in_slab(point, b) for point in logs) for b in bounds])
         hits[np.ix_(rows, primed)] &= np.array(found, dtype=bool).reshape(len(rows), len(primed))
     thick = [(col, key) for col, key in enumerate(keys) if key[0] in _WINDOWS]
     if thick:
@@ -533,6 +603,49 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
             witness = (ex or Exact2D(int(num[i]), int(den[i]))).witness_intervals_batch(windows)
             hits[i, cols] = [bool(ivs) for ivs in witness]
     return keys, hits
+
+
+def _rung_slab_hits(rows, exacts, wide, num, den, R, Q, log_den, sigma: float, r_max: float, bounds):
+    """found[j, b]: does a rung of sample rows[j] lie in the slab bounds[b] at sigma?
+
+    For r_max under _slab_on_rungs: the candidates are the rungs in the slab
+    box at r_max, read off the lockstep columns R, Q, or off the sample's
+    Exact2D for a wide row, and each is placed by _slab_logs' expressions
+    on the ladder's exact logs.  A lockstep row holds every rung in the
+    slab when its last grown rung has N = 0 or q past the box, or is
+    balanced (G >= F): the rungs after a balanced rung are balanced, and a
+    rung in the slab is not.  A row that shows none of these (only a
+    misjudged float stop does that) is answered on its own Exact2D.
+    """
+    x_hi = -sigma + math.log1p(r_max / 4.0)
+    q_hi = int(math.sqrt(r_max) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
+    found = np.zeros((len(rows), len(bounds)), dtype=bool)
+    wide = np.asarray(wide, dtype=bool)[rows]
+    lock = np.flatnonzero(~wide)
+    at = rows[lock]
+    # every rung has |N_k|, q_k <= den <= 2^62, so the clamps keep int64 exact
+    n_hi = np.array([min(_n_bound(x, x_hi), _LOCKSTEP_DEN) for x in log_den[at].tolist()], dtype=np.int64)
+    Rs, Qs, row_log_den = R[:, at], Q[:, at], log_den[at]
+    # a row repeats its last rung once it stops, so R[-1], Q[-1] are each row's last rung
+    unsure = np.flatnonzero((Rs[-1] != 0) & (Qs[-1] <= min(q_hi, _LOCKSTEP_DEN)))
+    G = -sigma + _exact_logs(Qs[-1, unsure])
+    F = (sigma + _exact_logs(Rs[-1, unsure])) - row_log_den[unsure]
+    short = np.zeros(len(at), dtype=bool)
+    short[unsure[~(G >= F)]] = True
+    k, c = np.nonzero((Rs <= n_hi) & (Qs <= min(q_hi, _LOCKSTEP_DEN)) & ~short)
+    x = (sigma + _exact_logs(Rs[k, c])) - row_log_den[c]
+    y = -sigma + _exact_logs(Qs[k, c])
+    for b, (lo, hi, y_hi) in enumerate(bounds):
+        found[lock[c[(lo < x) & (x < hi) & (y < y_hi)]], b] = True
+    for j in np.flatnonzero(wide).tolist() + lock[short].tolist():
+        i = int(rows[j])
+        ex = exacts[i] if wide[j] else Exact2D(int(num[i]), int(den[i]))
+        logs = [
+            ((sigma + ex._log_n[k]) - ex.log_den, -sigma + ex._log_q[k])
+            for k in ex._box_rungs(ex._n_threshold(x_hi), q_hi)
+        ]
+        found[j] = [any(_in_slab(point, b) for point in logs) for b in bounds]
+    return found
 
 
 def _fractions(samples):

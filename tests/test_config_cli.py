@@ -294,7 +294,7 @@ def test_cli_calls_share_the_parser_but_not_its_values(tmp_path):
         return config, json.loads((tmp_path / sub / "check.json").read_text())
 
     first, first_check = run(
-        "a", "--A", "0.25", "--T", "100", "--classic", "--seed", "3", "--set", "orbit.a=0.5"
+        "a", "--A", "0.25", "--T", "100", "--classic", "--seed", "3", "--set", "check.oracle=lattice"
     )
     second, second_check = run(
         "b",
@@ -305,10 +305,10 @@ def test_cli_calls_share_the_parser_but_not_its_values(tmp_path):
         "--set", "psi.t0=2.0",
     )
     assert first_check["classic"] and not second_check["classic"]
-    want = {"A": "0.25", "check.T": "100", "seed": "3", "orbit.a": "0.5", "check.classic": "true"}
+    want = {"A": "0.25", "check.T": "100", "seed": "3", "check.oracle": "lattice", "check.classic": "true"}
     assert {key: first[key] for key in want} == want
     assert (second["A"], second["check.T"]) == ("0.0", "50")
-    assert not {"check.classic", "seed", "orbit.a"} & set(second)
+    assert not {"check.classic", "seed", "check.oracle"} & set(second)
     assert "psi.family" not in first
     assert _build_parser() is _build_parser()
 
@@ -319,6 +319,16 @@ def test_cli_refuses_a_key_no_run_reads(tmp_path, capsys):
     assert cli_main(["measure", "--set", "measure.N=1000", "--out", str(out)]) == 1
     assert "'measure.N'" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_cli_refuses_a_key_only_another_subcommand_reads(tmp_path, capsys):
+    # orbit.a is read by orbit alone; check used to echo it and exit 0
+    out = tmp_path / "out"
+    assert cli_main(["check", "--A", "0.25", "--set", "orbit.a=0.5", "--out", str(out)]) == 1
+    assert "check does not read config key 'orbit.a'" in capsys.readouterr().err
+    assert not out.exists()
+    # a shared key is taken by every subcommand
+    assert cli_main(["check", "--A", "0.25", "--classic", "--set", "rate.eta=0.5", "--out", str(out)]) == 0
 
 
 def test_cli_refuses_a_config_file_key_no_run_reads(tmp_path, capsys):

@@ -4,14 +4,17 @@ A stdlib-ast check, in the spirit of test_imports.py.  A key is read when
 a string literal is passed to an ExperimentConfig accessor (`get*`,
 `require`, `matrix`), tested with `in ….entries` or subscripted from
 `.entries`.  An ExperimentConfig is named `cfg`, or `self` inside
-config.py.  Every flag's dest is a key too.
+config.py.  Every flag's dest is a key too.  Per subcommand, the keys its
+handler reads beyond config.SHARED_KEYS are its config.SUBCOMMAND_KEYS,
+and its flags write only keys it takes.
 """
 
+import argparse
 import ast
 from pathlib import Path
 
 from dirichlet_lab.cli import _HANDLERS, _build_parser
-from dirichlet_lab.config import KEYS
+from dirichlet_lab.config import KEYS, SHARED_KEYS, SUBCOMMAND_KEYS
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirichlet_lab"
 _ACCESSORS = {"get", "get_int", "get_float", "get_bool", "get_floats", "get_ints", "require", "matrix"}
@@ -76,3 +79,34 @@ def test_every_flag_dest_is_a_known_key():
     for sub in _HANDLERS:
         dests = set(vars(parser.parse_args([sub]))) - {"config", "set"}
         assert sorted(dests - KEYS) == [], sub
+        assert sorted(dests - SHARED_KEYS - SUBCOMMAND_KEYS[sub]) == [], sub
+
+
+def test_each_subcommand_takes_the_keys_its_handler_reads():
+    functions = {
+        node.name: ast.unparse(node)
+        for node in ast.parse((_PACKAGE / "cli.py").read_text()).body
+        if isinstance(node, ast.FunctionDef)
+    }
+    assert set(SUBCOMMAND_KEYS) == set(_HANDLERS)
+    for sub, handler in _HANDLERS.items():
+        assert _keys_read(functions[handler.__name__]) - SHARED_KEYS == SUBCOMMAND_KEYS[sub], sub
+
+
+def _subparsers(parser):
+    (action,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return action.choices
+
+
+def test_every_flag_value_name_in_help_is_its_key():
+    # --help shows MEASURE.S_PUSH-style names no more: --set takes keys as written
+    for sub, parser in _subparsers(_build_parser()).items():
+        usage = " ".join(parser.format_usage().split())
+        named = 0
+        for action in parser._actions:
+            if action.dest in ("help", "config", "set") or action.nargs == 0 or action.choices:
+                continue
+            assert action.dest in KEYS, (sub, action.dest)
+            assert f"[{action.option_strings[-1]} {action.dest}]" in usage, (sub, action.dest)
+            named += 1
+        assert named >= 3, sub

@@ -714,3 +714,149 @@ def test_ladder_grows_only_as_far_as_the_query_reads():
         ex.delta_flowed(9.0)
         assert len(ex._points) == k
     assert grown < full / 2, (grown, full)
+
+
+# -- candidates off the ladder against the box walk -------------------------------
+
+# r on both sides of the rung bound: _slab_on_rungs holds up to r = 0.2161
+_RUNG_RADII = (0.05, 0.2, 0.216, 0.23, 0.3, 0.45)
+
+
+def _witness_intervals_on_box(ex, k, window, r, primed):
+    """Exact2D.witness_intervals with every window's candidates from its box walk."""
+    lo, hi = float(k), float(k) + window
+    if ex.delta_flowed(lo + 0.5 * window) - 0.5 * window > r + 1e-9:
+        return []
+    points = _box_of_window(ex, k, window, r, primed)
+    logs = [
+        (log_int(abs(n)) - ex.log_den if n else -math.inf, log_int(q) if q else -math.inf)
+        for n, q in points
+    ]
+    return witness_from_logs(
+        np.array(logs, dtype=float).reshape(-1, 2),
+        np.array([n != 0 for n, _ in points], dtype=bool),
+        np.zeros(len(points), dtype=np.intp),
+        [(r, primed, lo, hi)],
+        W11,
+    )[0]
+
+
+def _rung_samples():
+    """(num, den, k values): small rationals whose ladder ends at N = 0 inside
+    the windows, A with a_1 = 1 (two rungs at q = 1), and 64-, 192- and
+    256-bit torus points."""
+    out = [
+        (5, 8, range(0, 6)),  # [0; 1, 1, 1, 2]
+        (3, 8, range(0, 6)),
+        (12345, 1 << 16, range(0, 14)),
+        (2**63 + 1, 2**64, range(0, 50, 2)),  # [0; 1, 1, 2^62 - 1, 2]
+    ]
+    for bits, count in ((64, 9), (192, 2), (256, 2)):
+        for i in range(count):
+            num, den = sample_torus_fixedpoint(substream(28, f"x2d-rungs-{bits}", i), 1, 1, bits)
+            out.append((num[0][0], den, range(0, 101, 3)))
+    return out
+
+
+def test_rung_candidates_equal_the_box_walk_on_both_sides_of_the_bound(monkeypatch):
+    from dirichlet_lab import exact2d
+
+    seen = {(below, kind): 0 for below in (False, True) for kind in (False, True)}
+    capped = 0
+    for num, den, ks in _rung_samples():
+        assert _full_ladder(Exact2D(num, den))[-1][0] == 0
+        ex, ex_box = Exact2D(num, den), Exact2D(num, den)
+        for k in ks:
+            for r in _RUNG_RADII:
+                for window, primed in ((1.0, False), (0.5, True)):
+                    got = ex.witness_intervals(float(k), window, r, primed)
+                    try:
+                        want = _witness_intervals_on_box(ex_box, float(k), window, r, primed)
+                    except CapExceeded:
+                        capped += 1  # the box walk gives up; the rungs still answer
+                        continue
+                    assert repr(got) == repr(want), (num, den, k, r, primed)
+                    assert repr(got) == repr(_witness_intervals_reference(ex_box, float(k), window, r, primed))
+                    seen[(r < 0.2161, primed)] += bool(got)
+    assert min(seen.values()) >= 20, seen
+    assert capped < 20
+    # over the bound the rungs alone miss slab points: some primed answers change
+    monkeypatch.setattr(exact2d, "_slab_on_rungs", lambda r: True)
+    changed = 0
+    for num, den, ks in _rung_samples():
+        ex = Exact2D(num, den)
+        for k in ks:
+            for r in (0.3, 0.45):
+                changed += repr(ex.witness_intervals(float(k), 0.5, r, True)) != repr(
+                    _witness_intervals_reference(ex, float(k), 0.5, r, True)
+                )
+    assert changed >= 3
+
+
+def test_the_table_reads_primed_off_the_rungs_as_in_primed_does():
+    r_under = [0.05, 0.1, 0.2161]
+    r_over = [0.05, 0.1, 0.2243]
+    num, den = sample_torus_fixedpoint(substream(29, "x2d-rung-table", 0), 1, 1, bits=64)
+    samples = torus_samples(29, "x2d-rung-table", 0, 128, 1, 1).ravel().tolist() + _EDGE_SAMPLES
+    samples += [(num[0][0], den), (5, 8), (12345, 1 << 16)]
+    hit = 0
+    for r_values in (r_under, r_over):
+        for sigma in (0.0, 0.05, 3.0, 10.0):
+            keys, hits = membership_profiles(samples, sigma, [KIND_SUB, KIND_PRIMED], r_values)
+            for a, row in zip(samples, hits[:, len(r_values):].tolist()):
+                ex = Exact2D.of(a)
+                assert row == [ex.in_primed(sigma, r) for r in r_values], (a, sigma, r_values)
+                hit += sum(row)
+    assert hit >= 100
+
+
+def test_a_lockstep_row_stopped_short_is_read_on_its_own_ladder(monkeypatch):
+    # every row's lockstep ladder cut to its first three rungs, as a misjudged
+    # float stop would leave it: a row whose last rung is not past the slab is
+    # answered on its own Exact2D, so the table does not change
+    from dirichlet_lab import exact2d
+
+    samples = torus_samples(30, "x2d-rung-short", 0, 128, 1, 1).ravel().tolist() + _EDGE_SAMPLES
+    r_values = [0.05, 0.2]
+    for sigma in (1.0, 6.0):
+        want = membership_profiles(samples, sigma, [KIND_SUB, KIND_PRIMED], r_values)[1]
+        lockstep, box_rungs, own = exact2d._lockstep_ladders, Exact2D._box_rungs, []
+
+        def short(num, den, sigma):
+            delta, R, Q, length, log_den = lockstep(num, den, sigma)
+            R[3:], Q[3:] = R[2], Q[2]
+            return delta, R, Q, length, log_den
+
+        monkeypatch.setattr(exact2d, "_lockstep_ladders", short)
+        monkeypatch.setattr(Exact2D, "_box_rungs", lambda ex, *box: own.append(ex) or box_rungs(ex, *box))
+        got = membership_profiles(samples, sigma, [KIND_SUB, KIND_PRIMED], r_values)[1]
+        monkeypatch.undo()
+        assert own and got.tolist() == want.tolist()
+
+
+def test_no_box_walk_under_the_rung_bound(monkeypatch):
+    from dirichlet_lab import exact2d
+
+    walks = []
+    box_walk = exact2d._box_walk
+    monkeypatch.setattr(exact2d, "_box_walk", lambda *args: walks.append(args) or box_walk(*args))
+    num, den = sample_torus_fixedpoint(substream(31, "x2d-no-walk", 0), 1, 1, bits=64)
+    ex = Exact2D(num[0][0], den)
+    windows = [
+        (float(k), window, r, primed)
+        for k in range(0, 60, 2)
+        for r in (0.05, 0.2, 0.216)
+        for window, primed in ((1.0, False), (0.5, True))
+    ]
+    windows += [(float(k), 1.0, r, False) for k in range(0, 60, 2) for r in (0.3, 0.45)]
+    assert any(ex.witness_intervals_batch(windows))
+    samples = torus_samples(31, "x2d-no-walk", 0, 128, 1, 1).ravel().tolist() + [(num[0][0], den)]
+    hits = membership_profiles(samples, 3.0, [KIND_SUB, KIND_PRIMED], [0.05, 0.216])[1]
+    assert hits[:, 2:].any()
+    assert walks == []
+    # over the bound both paths walk their boxes
+    ex.witness_intervals_batch([(float(k), 0.5, 0.3, True) for k in range(0, 60, 2)])
+    assert walks
+    walks.clear()
+    membership_profiles(samples, 3.0, [KIND_PRIMED], [0.3])
+    assert walks
