@@ -153,13 +153,9 @@ def _records_walk(ex: Exact2D, T: int):
     Thms 16-17) they are the convergent rungs (q_k, |N_k|) of ex's ladder.
     Where a_1 = 1 the ladder holds q = 1 twice; the later, smaller rung wins.
     """
-    points = ex._points
-    while points[-1][1] <= T and ex._grow():
-        pass
     records = []
-    for n, q in points[1:]:
-        if q > T:
-            break
+    # every rung has |N| <= den, so the box's rungs are those with q <= T
+    for n, q in ex._points[1 : ex._box_rungs(ex.den, T).stop]:
         if records and records[-1][0] == q:
             records.pop()
         records.append((q, abs(n)))

@@ -30,7 +30,8 @@ settle walk starts; the walk reads log_int (math.log) on the rungs it
 visits, in delta_flowed's expressions and order, so each Delta is bit-equal
 to delta_flowed's.  No numpy transcendental function is called, and every
 value that decides a count comes from math.log.  The slab of a row that
-needs one is read off that row's rungs.
+needs one is read off that row's lockstep rungs; any row those cannot
+answer is read off its own Exact2D.
 
 Thickened and primed membership take their candidates off the ladder:
 the rungs in one candidate box per window (or per slab), found by two
@@ -42,10 +43,13 @@ at most 0.49 den (r <= 0.2161, a margin under Legendre's den/2 at
 r* ~ 0.2242), a primitive one is a convergent (Khinchin, Thm 19) and a
 multiple j u, j >= 2, has u in the open cube, so the rungs are every
 candidate that can change a hit (_slab_on_rungs).  A primed window or
-slab at a larger r enumerates its box (_box_walk).  The windows of one
-orbit or one profile hand their candidates' logs, each row tagged with
-its window, to one call of targets.witness_from_logs, the array kernel
-of the float path, which gives the s-intervals and the interval algebra.
+slab at a larger r walks its box.  Exact2D holds every ladder outside the
+lockstep columns and every box walk, and one method of it,
+_candidate_logs, picks the rungs or the walk for a window and for a slab.
+The windows of one orbit or one profile hand their candidates' logs, each
+row tagged with its window, to one call of targets.witness_from_logs, the
+array kernel of the float path, which gives the s-intervals and the
+interval algebra.
 
 The ladder grows in place, one Euclid step per rung, and each query grows
 it only as far as it reads: Delta at sigma to the first key past 2 sigma,
@@ -56,7 +60,6 @@ the full ladder and does not depend on call history.
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 from bisect import bisect_left, bisect_right
@@ -113,78 +116,6 @@ def partial_quotients(num: int, den: int):
         num, den = rem, num
 
 
-def _append_rung(points, quotients) -> bool:
-    """Append the next rung of a convergent ladder, b_{k+1} = b_{k-1} + a b_k
-    with a the next of its partial quotients; False once they run out."""
-    a = next(quotients, None)
-    if a is None:
-        return False
-    (n0, q0), (n1, q1) = points[-2:]
-    points.append((n0 + a * n1, q0 + a * q1))
-    return True
-
-
-def _box_walk(points, grow, den: int, n_max: int, q_max: int, coeff_cap: int = 5_000_000):
-    """Yield nonzero integer lattice points (N, q), |N| <= n_max, |q| <= q_max,
-    of the lattice whose convergent ladder is points; grow() appends its next
-    rung and is False once the ladder has reached N = 0.
-
-    Canonical sign: q > 0, or q == 0 and N > 0.  Half the coefficient
-    rectangle of the basis bounds the work; callers that need the full
-    list should pass the walk to _capped instead.
-
-    The bounds are exact: v = c1 b1 + c2 b2 has c1 det(b1, b2) =
-    det(v, b2), so |c1| <= nu(b2) / den with the box's dual norm
-    nu(v) = n_max |q| + q_max |N|, and likewise for c2.  The basis is
-    chosen in integers.  nu is smallest on a rung next to the first rung
-    c with n_max q_c >= q_max |N_c|.  Every basis partner of a rung b_i
-    is +-(b_{i-1} + t b_i), and nu is convex and piecewise linear in t
-    with kinks at q = 0 and N = 0, so the best partner is one of b_{i-1},
-    b_{i-1} - b_i, b_{i+1} and b_{i+1} + b_i.  Of these pairs for
-    i = c - 1, c, the one with the smallest rectangle is used.
-    """
-    if n_max < 0 or q_max < 0:
-        return
-    # the balance test is monotone along the ladder (|N_k| falls and q_k
-    # rises); once it holds on the rung before the last, the first rung c
-    # where it holds and its partner c + 1 are both grown
-    while n_max * points[-2][1] < q_max * abs(points[-2][0]) and grow():
-        pass
-    c = bisect_left(points, True, key=lambda p: n_max * p[1] >= q_max * abs(p[0]))
-    best = None
-    for i in (c - 1, c):
-        if i < 0:
-            continue
-        b1 = points[i]
-        c2_hi = (n_max * b1[1] + q_max * abs(b1[0])) // den
-        for j, sign in ((i - 1, -1), (i + 1, 1)):
-            if not 0 <= j < len(points):
-                continue
-            bj = points[j]
-            for b2 in (bj, (bj[0] + sign * b1[0], bj[1] + sign * b1[1])):
-                c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // den
-                size = (2 * c1_hi + 1) * (2 * c2_hi + 1)
-                if best is None or size < best[0]:
-                    best = (size, b1, b2, c1_hi, c2_hi)
-    size, b1, b2, c1_hi, c2_hi = best
-    # certificate: two lattice vectors spanning covolume den are a basis
-    if abs(b1[0] * b2[1] - b1[1] * b2[0]) != den:
-        raise ValidationError("ladder pair is not a basis of L_A")
-    if size > coeff_cap:
-        raise CapExceeded("coefficient ranges exceed enumeration cap")
-    # the box is symmetric, so one of each pair +-(c1, c2) is walked
-    for c1 in range(c1_hi + 1):
-        base_n = c1 * b1[0]
-        base_q = c1 * b1[1]
-        for c2 in range(-c2_hi if c1 else 1, c2_hi + 1):
-            n = base_n + c2 * b2[0]
-            q = base_q + c2 * b2[1]
-            if q < 0 or (q == 0 and n < 0):
-                n, q = -n, -q
-            if abs(n) <= n_max and q <= q_max:
-                yield n, q
-
-
 # Legendre's bound 1/2 on (1 + r/4) sqrt r, less a margin for the float logs
 # that place a point in the slab; see _slab_on_rungs
 _RUNG_SLAB_BOUND = 0.49
@@ -204,30 +135,14 @@ def _slab_on_rungs(r: float) -> bool:
     return (1.0 + r / 4.0) * math.sqrt(r) <= _RUNG_SLAB_BOUND
 
 
-def _capped(points, cap: int = 4096) -> list:
-    out = []
-    for pt in points:
-        out.append(pt)
-        if len(out) > cap:
-            raise CapExceeded("box enumeration cap exceeded")
-    return out
-
-
 def _n_bound(log_den: float, log_bound: float) -> int:
     """Integer threshold for |N| <= den * e^log_bound (conservative superset)."""
     return int(math.exp(min(log_den + log_bound, 700.0)) * (1 + 1e-9)) + 1
 
 
-def _slab_points(points, grow, den: int, log_den: float, sigma: float, r: float):
-    """Exact2D.slab_points on the lattice whose ladder is points (see _box_walk)."""
-    n_hi = _n_bound(log_den, -sigma + math.log1p(r / 4.0))
-    q_max = int(math.sqrt(r) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
-    bounds = _slab_bounds(r)
-    return [
-        (n, q) if n > 0 else (-n, -q)
-        for n, q in _capped(_box_walk(points, grow, den, n_hi, q_max))
-        if _in_slab(_slab_logs(log_den, n, q, sigma), bounds)
-    ]
+def _slab_q_max(sigma: float, r: float) -> int:
+    """Integer bound on q in the slab box at flow time sigma and radius r."""
+    return int(math.sqrt(r) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
 
 
 def _slab_logs(log_den: float, n: int, q: int, sigma: float):
@@ -302,9 +217,12 @@ class Exact2D:
         into balance at 2 sigma = keys[k].  Rungs are only appended, so
         the lists are always a prefix of the full ladder.
         """
-        if not _append_rung(self._points, self._quotients):
+        a = next(self._quotients, None)
+        if a is None:
             return False
-        n, q = self._points[-1]
+        (n0, q0), (n1, q1) = self._points[-2:]
+        n, q = n0 + a * n1, q0 + a * q1
+        self._points.append((n, q))
         log_n = log_int(abs(n)) if n else -math.inf
         log_q = log_int(q)
         self._log_n.append(log_n)
@@ -361,11 +279,73 @@ class Exact2D:
         return b1, b2
 
     def _iter_box_points(self, n_max: int, q_max: int, coeff_cap: int = 5_000_000):
-        """_box_walk on this ladder, grown as far as the walk reads."""
-        return _box_walk(self._points, self._grow, self.den, n_max, q_max, coeff_cap)
+        """The box walk: yield the nonzero lattice points (N, q) with
+        |N| <= n_max and |q| <= q_max, growing the ladder as far as it reads.
 
-    def _box_points(self, n_max: int, q_max: int, cap: int = 4096):
-        return _capped(self._iter_box_points(n_max, q_max), cap)
+        Canonical sign: q > 0, or q == 0 and N > 0.  Half the coefficient
+        rectangle of the basis bounds the work; callers that need the full
+        list use _box_points, which caps it.
+
+        The bounds are exact: v = c1 b1 + c2 b2 has c1 det(b1, b2) =
+        det(v, b2), so |c1| <= nu(b2) / den with the box's dual norm
+        nu(v) = n_max |q| + q_max |N|, and likewise for c2.  The basis is
+        chosen in integers.  nu is smallest on a rung next to the first rung
+        c with n_max q_c >= q_max |N_c|.  Every basis partner of a rung b_i
+        is +-(b_{i-1} + t b_i), and nu is convex and piecewise linear in t
+        with kinks at q = 0 and N = 0, so the best partner is one of b_{i-1},
+        b_{i-1} - b_i, b_{i+1} and b_{i+1} + b_i.  Of these pairs for
+        i = c - 1, c, the one with the smallest rectangle is used.
+        """
+        if n_max < 0 or q_max < 0:
+            return
+        points, den = self._points, self.den
+        # the balance test is monotone along the ladder (|N_k| falls and q_k
+        # rises); once it holds on the rung before the last, the first rung c
+        # where it holds and its partner c + 1 are both grown
+        while n_max * points[-2][1] < q_max * abs(points[-2][0]) and self._grow():
+            pass
+        c = bisect_left(points, True, key=lambda p: n_max * p[1] >= q_max * abs(p[0]))
+        best = None
+        for i in (c - 1, c):
+            if i < 0:
+                continue
+            b1 = points[i]
+            c2_hi = (n_max * b1[1] + q_max * abs(b1[0])) // den
+            for j, sign in ((i - 1, -1), (i + 1, 1)):
+                if not 0 <= j < len(points):
+                    continue
+                bj = points[j]
+                for b2 in (bj, (bj[0] + sign * b1[0], bj[1] + sign * b1[1])):
+                    c1_hi = (n_max * abs(b2[1]) + q_max * abs(b2[0])) // den
+                    size = (2 * c1_hi + 1) * (2 * c2_hi + 1)
+                    if best is None or size < best[0]:
+                        best = (size, b1, b2, c1_hi, c2_hi)
+        size, b1, b2, c1_hi, c2_hi = best
+        # certificate: two lattice vectors spanning covolume den are a basis
+        if abs(b1[0] * b2[1] - b1[1] * b2[0]) != den:
+            raise ValidationError("ladder pair is not a basis of L_A")
+        if size > coeff_cap:
+            raise CapExceeded("coefficient ranges exceed enumeration cap")
+        # the box is symmetric, so one of each pair +-(c1, c2) is walked
+        for c1 in range(c1_hi + 1):
+            base_n = c1 * b1[0]
+            base_q = c1 * b1[1]
+            for c2 in range(-c2_hi if c1 else 1, c2_hi + 1):
+                n = base_n + c2 * b2[0]
+                q = base_q + c2 * b2[1]
+                if q < 0 or (q == 0 and n < 0):
+                    n, q = -n, -q
+                if abs(n) <= n_max and q <= q_max:
+                    yield n, q
+
+    def _box_points(self, n_max: int, q_max: int, cap: int = 4096) -> list:
+        """The points of _iter_box_points as a list; CapExceeded past cap of them."""
+        out = []
+        for pt in self._iter_box_points(n_max, q_max):
+            out.append(pt)
+            if len(out) > cap:
+                raise CapExceeded("box enumeration cap exceeded")
+        return out
 
     def _box_rungs(self, n_max: int, q_max: int) -> range:
         """Indices of the rungs with |N_k| <= n_max and q_k <= q_max.
@@ -379,6 +359,23 @@ class Exact2D:
             pass
         lo = bisect_left(points, True, key=lambda p: abs(p[0]) <= n_max)
         return range(lo, bisect_right(points, q_max, key=operator.itemgetter(1)))
+
+    def _candidate_logs(self, n_max: int, q_max: int, walk: bool):
+        """The (log|N|, log q) pairs of the candidates in the box |N| <= n_max,
+        q <= q_max, -inf at a zero coordinate, to be read once.
+
+        The one place that picks rungs or a walk: the box's rungs
+        (_box_rungs), with the logs the ladder holds, or when walk is true
+        every point of the box (_box_points, which raises CapExceeded past
+        its cap), through log_int.
+        """
+        if walk:
+            return [
+                (log_int(abs(n)) if n else -math.inf, log_int(q) if q else -math.inf)
+                for n, q in self._box_points(n_max, q_max)
+            ]
+        rungs = self._box_rungs(n_max, q_max)
+        return zip(self._log_n[rungs.start : rungs.stop], self._log_q[rungs.start : rungs.stop])
 
     def any_point_in_box(self, n_strict: int, q_max: int) -> bool:
         """Is there a point with |N| < n_strict (exact) and 1 <= q <= q_max?
@@ -447,7 +444,28 @@ class Exact2D:
         enumeration is flipped when needed).
         """
         _check_sigma(abs(sigma))
-        return _slab_points(self._points, self._grow, self.den, self.log_den, sigma, r)
+        bounds = _slab_bounds(r)
+        return [
+            (n, q) if n > 0 else (-n, -q)
+            for n, q in self._box_points(self._n_threshold(-sigma + math.log1p(r / 4.0)), _slab_q_max(sigma, r))
+            if _in_slab(_slab_logs(self.log_den, n, q, sigma), bounds)
+        ]
+
+    def _slab_hits(self, sigma: float, r_max: float, bounds) -> list:
+        """[does a point of g_sigma L_A lie in the slab b, for b in bounds].
+
+        Every slab in bounds (_slab_bounds at some r <= r_max) lies inside
+        the slab at r_max, so one set of candidates, those of the slab box at
+        r_max (_candidate_logs; the box is walked unless _slab_on_rungs(r_max)),
+        answers them all.  Each is placed by _slab_logs' expressions.
+        """
+        n_max = self._n_threshold(-sigma + math.log1p(r_max / 4.0))
+        walk = not _slab_on_rungs(r_max)
+        logs = [
+            ((sigma + log_n) - self.log_den, -sigma + log_q)
+            for log_n, log_q in self._candidate_logs(n_max, _slab_q_max(sigma, r_max), walk)
+        ]
+        return [any(_in_slab(point, b) for point in logs) for b in bounds]
 
     def in_primed(self, sigma: float, r: float) -> bool:
         return self.in_sub(sigma, r) and bool(self.slab_points(sigma, r))
@@ -469,23 +487,22 @@ class Exact2D:
         its own Delta pre-filter and candidate box; the candidates of all
         windows go to one kernel call, each row tagged with its window.
 
-        The candidates are the rungs in the box (_box_rungs), with the logs
-        the ladder holds, unless the window is primed and r fails
-        _slab_on_rungs; such a window enumerates its box (_box_points).
-        Every lattice point is dominated in (|N|, q) by a rung (Lagrange;
-        Khinchin, Continued Fractions, Thms 16-17), and that rung's
-        cube-entry interval holds the point's: log_int and the kernel's
-        subtractions are monotone (log_int up to one ulp across a power of
-        two above 2^53, which a rung and a point it dominates only straddle
-        if their |N| or their q agree to about 13 digits).  Under
-        _slab_on_rungs (r <= 0.2161, margin 0.49 under Legendre's 1/2; Thm
-        19) every point that can reach the slab outside the cube is a rung.
-        So the rungs give the box's intervals; unlike the box walk they
-        never raise CapExceeded.
+        The candidates come from _candidate_logs: the rungs in the box, with
+        the logs the ladder holds, unless the window is primed and r fails
+        _slab_on_rungs; such a window walks its box.  Every lattice point is
+        dominated in (|N|, q) by a rung (Lagrange; Khinchin, Continued
+        Fractions, Thms 16-17), and that rung's cube-entry interval holds
+        the point's: log_int and the kernel's subtractions are monotone
+        (log_int up to one ulp across a power of two above 2^53, which a
+        rung and a point it dominates only straddle if their |N| or their q
+        agree to about 13 digits).  Under _slab_on_rungs (r <= 0.2161,
+        margin 0.49 under Legendre's 1/2; Thm 19) every point that can reach
+        the slab outside the cube is a rung.  So the rungs give the box's
+        intervals; unlike the box walk they never raise CapExceeded.
         """
         for _, _, r, _ in windows:
             check_radius(r)
-        log_n, log_q, log_den = self._log_n, self._log_q, self.log_den
+        log_den = self.log_den
         logs, counts, queries, kept = [], [], [], []
         for idx, (k, window, r, primed) in enumerate(windows):
             _check_sigma(k + window)
@@ -505,17 +522,12 @@ class Exact2D:
                 n_max = self._n_threshold(-lo - r)
                 q_log = hi - r
             q_max = int(math.exp(min(q_log, 700.0)) * (1 + 1e-9)) + 1
-            if primed and not _slab_on_rungs(r):
-                box = self._box_points(n_max, q_max)
-                logs += [
-                    (log_int(abs(n)) - log_den if n else -math.inf, log_int(q) if q else -math.inf)
-                    for n, q in box
-                ]
-                counts.append(len(box))
-            else:
-                rungs = self._box_rungs(n_max, q_max)
-                logs += [(log_n[k] - log_den, log_q[k]) for k in rungs]
-                counts.append(len(rungs))
+            start = len(logs)
+            logs += [
+                (log_n - log_den, log_q)
+                for log_n, log_q in self._candidate_logs(n_max, q_max, primed and not _slab_on_rungs(r))
+            ]
+            counts.append(len(logs) - start)
             queries.append((r, primed, lo, hi))
             kept.append(idx)
         out = [[] for _ in windows]
@@ -558,20 +570,23 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
     Unless Delta exceeds every r, the slab's candidates are found once, at
     the largest r, on the sample's ladder: every smaller slab lies inside
     it, so each primed(r) is read off those points.  When the largest r
-    passes _slab_on_rungs (r <= 0.2161) the candidates are the rungs in the
-    slab box (_rung_slab_hits), read off the lockstep columns; otherwise
-    the box is walked (_slab_points), which can raise CapExceeded where the
-    rungs do not.  Thickened kinds flow each sample's Exact2D over
-    [sigma, sigma + window), windows as in targets, all in one
-    witness_intervals_batch call.
+    passes _slab_on_rungs (r <= 0.2161), the lockstep rows read the rungs
+    in the slab box off their columns (_rung_slab_hits).  Every other row
+    with a slab to answer (a wide row, a lockstep row stopped short, and
+    every row when the largest r is over the bound) is answered by its own
+    Exact2D (_slab_hits), the caller's when it gave one; over the bound
+    that walks the box, which can raise CapExceeded where the rungs do
+    not, and grows a fresh ladder with its logs for each lockstep row.
+    Thickened kinds flow each sample's Exact2D over [sigma, sigma + window),
+    windows as in targets, all in one witness_intervals_batch call.
     """
     keys = profile_keys(kinds, r_values, _W11)
     exacts, num, den = _fractions(samples)
-    wide = [ex is not None and ex.den > _LOCKSTEP_DEN for ex in exacts]
+    wide = np.array([ex is not None and ex.den > _LOCKSTEP_DEN for ex in exacts], dtype=bool)
     hits = np.zeros((len(exacts), len(keys)), dtype=bool)
     if any(kind in (KIND_SUB, KIND_PRIMED) for kind, _ in keys):
         _check_sigma(abs(sigma))
-        deltas, R, Q, length, log_den = _lockstep_ladders(num, den, sigma)
+        deltas, R, Q, log_den = _lockstep_ladders(num, den, sigma)
         for i in np.flatnonzero(wide).tolist():
             deltas[i] = exacts[i].delta_flowed(sigma)
         for col, (kind, r) in enumerate(keys):
@@ -581,20 +596,17 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
         bounds = [_slab_bounds(keys[col][1]) for col in primed]
         r_max = max(r for _, r in keys)
         rows = np.flatnonzero(deltas <= r_max + 1e-12) if primed else np.zeros(0, dtype=np.intp)
-        if _slab_on_rungs(r_max):
-            found = _rung_slab_hits(rows, exacts, wide, num, den, R, Q, log_den, sigma, r_max, bounds)
-        else:
-            found = []
-            for i in rows.tolist():
-                if wide[i]:
-                    ex = exacts[i]
-                    ladder = ex._points, ex._grow, ex.den, ex.log_den
-                else:
-                    points, grow = _row_ladder(R[: length[i], i], Q[: length[i], i])
-                    ladder = points, grow, int(den[i]), float(log_den[i])
-                logs = [_slab_logs(ladder[3], n, q, sigma) for n, q in _slab_points(*ladder, sigma, r_max)]
-                found.append([any(_in_slab(point, b) for point in logs) for b in bounds])
-        hits[np.ix_(rows, primed)] &= np.array(found, dtype=bool).reshape(len(rows), len(primed))
+        found = np.zeros((len(rows), len(primed)), dtype=bool)
+        # over the bound the rungs miss slab points, so no lockstep row answers
+        own = wide[rows] | (not _slab_on_rungs(r_max))
+        lock = np.flatnonzero(~own)
+        at = rows[lock]
+        found[lock], short = _rung_slab_hits(R[:, at], Q[:, at], log_den[at], sigma, r_max, bounds)
+        own[lock[short]] = True
+        for j in np.flatnonzero(own).tolist():
+            i = int(rows[j])
+            found[j] = (exacts[i] or Exact2D(int(num[i]), int(den[i])))._slab_hits(sigma, r_max, bounds)
+        hits[np.ix_(rows, primed)] &= found
     thick = [(col, key) for col, key in enumerate(keys) if key[0] in _WINDOWS]
     if thick:
         windows = [(sigma, _WINDOWS[kind], r, kind == KIND_THICK_PRIMED) for _, (kind, r) in thick]
@@ -605,47 +617,35 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
     return keys, hits
 
 
-def _rung_slab_hits(rows, exacts, wide, num, den, R, Q, log_den, sigma: float, r_max: float, bounds):
-    """found[j, b]: does a rung of sample rows[j] lie in the slab bounds[b] at sigma?
+def _rung_slab_hits(R, Q, log_den, sigma: float, r_max: float, bounds):
+    """(found, short) for lockstep rows with rungs R, Q and exact log den, r_max
+    under _slab_on_rungs: found[c, b] says whether a rung of row c lies in the
+    slab bounds[b] at sigma, and short[c] that row c cannot tell.
 
-    For r_max under _slab_on_rungs: the candidates are the rungs in the slab
-    box at r_max, read off the lockstep columns R, Q, or off the sample's
-    Exact2D for a wide row, and each is placed by _slab_logs' expressions
-    on the ladder's exact logs.  A lockstep row holds every rung in the
-    slab when its last grown rung has N = 0 or q past the box, or is
+    The candidates are the rungs in the slab box at r_max, each placed by
+    _slab_logs' expressions on the exact logs.  A row holds every rung in
+    the slab when its last grown rung has N = 0 or q past the box, or is
     balanced (G >= F): the rungs after a balanced rung are balanced, and a
     rung in the slab is not.  A row that shows none of these (only a
-    misjudged float stop does that) is answered on its own Exact2D.
+    misjudged float stop does that) is short, and its found row is empty.
     """
     x_hi = -sigma + math.log1p(r_max / 4.0)
-    q_hi = int(math.sqrt(r_max) * math.exp(min(sigma, 700.0)) * (1 + 1e-9)) + 1
-    found = np.zeros((len(rows), len(bounds)), dtype=bool)
-    wide = np.asarray(wide, dtype=bool)[rows]
-    lock = np.flatnonzero(~wide)
-    at = rows[lock]
     # every rung has |N_k|, q_k <= den <= 2^62, so the clamps keep int64 exact
-    n_hi = np.array([min(_n_bound(x, x_hi), _LOCKSTEP_DEN) for x in log_den[at].tolist()], dtype=np.int64)
-    Rs, Qs, row_log_den = R[:, at], Q[:, at], log_den[at]
+    q_hi = min(_slab_q_max(sigma, r_max), _LOCKSTEP_DEN)
+    n_hi = np.array([min(_n_bound(x, x_hi), _LOCKSTEP_DEN) for x in log_den.tolist()], dtype=np.int64)
     # a row repeats its last rung once it stops, so R[-1], Q[-1] are each row's last rung
-    unsure = np.flatnonzero((Rs[-1] != 0) & (Qs[-1] <= min(q_hi, _LOCKSTEP_DEN)))
-    G = -sigma + _exact_logs(Qs[-1, unsure])
-    F = (sigma + _exact_logs(Rs[-1, unsure])) - row_log_den[unsure]
-    short = np.zeros(len(at), dtype=bool)
+    unsure = np.flatnonzero((R[-1] != 0) & (Q[-1] <= q_hi))
+    G = -sigma + _exact_logs(Q[-1, unsure])
+    F = (sigma + _exact_logs(R[-1, unsure])) - log_den[unsure]
+    short = np.zeros(len(log_den), dtype=bool)
     short[unsure[~(G >= F)]] = True
-    k, c = np.nonzero((Rs <= n_hi) & (Qs <= min(q_hi, _LOCKSTEP_DEN)) & ~short)
-    x = (sigma + _exact_logs(Rs[k, c])) - row_log_den[c]
-    y = -sigma + _exact_logs(Qs[k, c])
+    k, c = np.nonzero((R <= n_hi) & (Q <= q_hi) & ~short)
+    x = (sigma + _exact_logs(R[k, c])) - log_den[c]
+    y = -sigma + _exact_logs(Q[k, c])
+    found = np.zeros((len(log_den), len(bounds)), dtype=bool)
     for b, (lo, hi, y_hi) in enumerate(bounds):
-        found[lock[c[(lo < x) & (x < hi) & (y < y_hi)]], b] = True
-    for j in np.flatnonzero(wide).tolist() + lock[short].tolist():
-        i = int(rows[j])
-        ex = exacts[i] if wide[j] else Exact2D(int(num[i]), int(den[i]))
-        logs = [
-            ((sigma + ex._log_n[k]) - ex.log_den, -sigma + ex._log_q[k])
-            for k in ex._box_rungs(ex._n_threshold(x_hi), q_hi)
-        ]
-        found[j] = [any(_in_slab(point, b) for point in logs) for b in bounds]
-    return found
+        found[c[(lo < x) & (x < hi) & (y < y_hi)], b] = True
+    return found, short
 
 
 def _fractions(samples):
@@ -684,14 +684,6 @@ def _exact_logs(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _row_ladder(r: np.ndarray, q: np.ndarray):
-    """One row of the lockstep ladders as Exact2D holds its rungs, (N_k, q_k)
-    with N_k = -+r_k, and a grow() that appends the row's next rung."""
-    r, q = r.tolist(), q.tolist()
-    points = [(-rk if k % 2 == 0 else rk, qk) for k, (rk, qk) in enumerate(zip(r, q))]
-    return points, functools.partial(_append_rung, points, partial_quotients(r[-1], r[-2]))
-
-
 def _lockstep_ladders(num: np.ndarray, den: np.ndarray, sigma: float):
     """Delta(g_sigma L_A) of int64 rows (num, den), den <= 2^62, bit-equal to
     Exact2D(num, den).delta_flowed(sigma), with the ladders it read.
@@ -709,8 +701,8 @@ def _lockstep_ladders(num: np.ndarray, den: np.ndarray, sigma: float):
     its own Exact2D.
 
     Returns Delta, the rungs R and Q (one row per rung, one column per
-    input row; a row repeats its last rung once it stops), each row's
-    number of rungs and the exact log den.
+    input row; a row repeats its last rung once it stops) and the exact
+    log den.
     """
     m = len(den)
     den_f = den.astype(float)
@@ -755,4 +747,4 @@ def _lockstep_ladders(num: np.ndarray, den: np.ndarray, sigma: float):
     delta = -np.minimum((sigma + log_n[j - 1, rows]) - log_den, -sigma + log_q[j, rows])
     for i in np.flatnonzero(stuck).tolist():
         delta[i] = Exact2D(int(num[i]), int(den[i])).delta_flowed(sigma)
-    return delta, R, Q, length, log_den
+    return delta, R, Q, log_den

@@ -248,8 +248,8 @@ def test_lockstep_delta_does_not_depend_on_the_float_steer(monkeypatch, shift):
 
 def test_lockstep_delta_of_a_den_two_sample_reads_its_last_rung():
     ex = Exact2D.of(0.5)
-    delta, R, Q, length, _ = _lockstep_ladders(np.array([1]), np.array([2]), 10.0)
-    assert length.tolist() == [3] and R[:, 0].tolist() == [2, 1, 0] and Q[:, 0].tolist() == [0, 1, 2]
+    delta, R, Q, _ = _lockstep_ladders(np.array([1]), np.array([2]), 10.0)
+    assert R[:, 0].tolist() == [2, 1, 0] and Q[:, 0].tolist() == [0, 1, 2]
     assert ex._keys[1] < 20.0 and delta[0] == ex.delta_flowed(10.0) == 10.0 - math.log(2.0)
 
 
@@ -656,6 +656,7 @@ def _ladder_queries(ex, rng):
     queries = [("delta", s) for s in (0.3, 2.0, 10.0, 10.0, 24.5, 41.0, 70.0, 130.0)]
     # past den e^-sigma ~ 1 the slab box holds ~e^sigma points; stay short of it
     queries += [("slab", s) for s in (1.0, 10.0, 0.25 * ex.log_den)]
+    queries += [("slab hits", s) for s in (1.0, 10.0, 0.25 * ex.log_den)]
     queries += [("window", k) for k in (5.0, 12.0, 47.0)]
     queries += [("records", T) for T in (1, 50, 10**9, 10**25, 10**80)]
     rng.shuffle(queries)
@@ -667,6 +668,9 @@ def _answer(ex, kind, x):
         return repr(ex.delta_flowed(x))
     if kind == "slab":
         return repr(ex.slab_points(x, 0.2))
+    if kind == "slab hits":
+        # r_max on each side of the rung bound: the rungs, then the box walk
+        return repr([ex._slab_hits(x, r, [_slab_bounds(0.05), _slab_bounds(r)]) for r in (0.2, 0.3)])
     if kind == "window":
         return repr((ex.witness_intervals(x, 1.0, 0.1, True), ex.witness_intervals(x, 0.5, 0.1, False)))
     return repr(_records_walk(ex, x))
@@ -793,6 +797,25 @@ def test_rung_candidates_equal_the_box_walk_on_both_sides_of_the_bound(monkeypat
     assert changed >= 3
 
 
+@pytest.mark.parametrize("bits", [64, 256])
+def test_the_rung_candidates_are_among_the_walked_ones(bits):
+    # a box of about den * e^u points, u in [-3, 3], at a random aspect; each
+    # rung in it is a point of the walk with the same logs (rung 0 walked as (den, 0))
+    rng = substream(32, "x2d-candidates", bits)
+    rungs = 0
+    for i in range(40):
+        num, den = sample_torus_fixedpoint(substream(32, f"x2d-candidates-{bits}", i), 1, 1, bits)
+        ex = Exact2D(num[0][0], den)
+        q_log = float(rng.uniform(0.0, ex.log_den + 1.0))
+        q_max = int(math.exp(q_log))
+        n_max = ex._n_threshold(float(rng.uniform(-3.0, 3.0)) - q_log)
+        got = list(ex._candidate_logs(n_max, q_max, walk=False))
+        walked = list(ex._candidate_logs(n_max, q_max, walk=True))
+        assert set(got) <= set(walked), (num, den, n_max, q_max)
+        rungs += len(got)
+    assert rungs >= 40
+
+
 def test_the_table_reads_primed_off_the_rungs_as_in_primed_does():
     r_under = [0.05, 0.1, 0.2161]
     r_over = [0.05, 0.1, 0.2243]
@@ -823,9 +846,9 @@ def test_a_lockstep_row_stopped_short_is_read_on_its_own_ladder(monkeypatch):
         lockstep, box_rungs, own = exact2d._lockstep_ladders, Exact2D._box_rungs, []
 
         def short(num, den, sigma):
-            delta, R, Q, length, log_den = lockstep(num, den, sigma)
+            delta, R, Q, log_den = lockstep(num, den, sigma)
             R[3:], Q[3:] = R[2], Q[2]
-            return delta, R, Q, length, log_den
+            return delta, R, Q, log_den
 
         monkeypatch.setattr(exact2d, "_lockstep_ladders", short)
         monkeypatch.setattr(Exact2D, "_box_rungs", lambda ex, *box: own.append(ex) or box_rungs(ex, *box))
@@ -835,11 +858,9 @@ def test_a_lockstep_row_stopped_short_is_read_on_its_own_ladder(monkeypatch):
 
 
 def test_no_box_walk_under_the_rung_bound(monkeypatch):
-    from dirichlet_lab import exact2d
-
     walks = []
-    box_walk = exact2d._box_walk
-    monkeypatch.setattr(exact2d, "_box_walk", lambda *args: walks.append(args) or box_walk(*args))
+    box_walk = Exact2D._iter_box_points
+    monkeypatch.setattr(Exact2D, "_iter_box_points", lambda ex, *box: walks.append(box) or box_walk(ex, *box))
     num, den = sample_torus_fixedpoint(substream(31, "x2d-no-walk", 0), 1, 1, bits=64)
     ex = Exact2D(num[0][0], den)
     windows = [
