@@ -1,6 +1,6 @@
 """Continued-fraction oracle for the scalar (m = n = 1) case.
 
-Independent cross-check of the lattice-based scanner: convergents p_k/q_k
+Cross-check of the lattice-based scanner: convergents p_k/q_k
 are the best rational approximations of the second kind, so on each block
 t in (q_k, q_{k+1}] the system is solvable for all t iff
 |q_k alpha - p_k| < psi(q_{k+1}) (psi decreasing makes the right endpoint
@@ -8,7 +8,11 @@ the worst case).  A float is a rational, so the expansion runs Euclid's
 algorithm on its exact integer ratio: every partial quotient and
 convergent is exact, and the expansion ends (in under ~80 steps for a
 53-bit denominator) when the ratio is exhausted.  The Euclid step is
-exact2d.partial_quotients, the one the convergent ladder of Exact2D runs.
+exact2d.partial_quotients, the one the convergent ladder of Exact2D runs,
+so at m = n = 1 `check --oracle both` compares two readings of one Euclid
+step: the agreement checks the psi inversion and the interval algebra.
+Failing blocks are joined into the uncovered list by
+intervals.merge_intervals, under the scan's one tolerance rule.
 """
 
 from __future__ import annotations
@@ -21,7 +25,13 @@ from .approx import PsiFunction
 from .dirichlet import psi_inverse
 from .errors import ValidationError
 from .exact2d import partial_quotients
+from .intervals import merge_intervals
 from .lattice import strictly_less
+
+# partial quotients cf_uncovered_intervals expands at most; a float's
+# expansion ends well before (its denominator is at most 2^1074, whose
+# Euclid pass takes under 1 600 steps)
+_MAX_QUOTIENTS = 10_000
 
 
 @dataclass
@@ -79,19 +89,18 @@ class FiniteHorizonVerdict:
         return not self.failures
 
 
-def cf_is_psi_dirichlet(
-    alpha: float, psi: PsiFunction, K: int, burn_in_q: float | None = None
-) -> FiniteHorizonVerdict:
+def cf_is_psi_dirichlet(alpha: float, psi: PsiFunction, K: int) -> FiniteHorizonVerdict:
     """Check |q_k alpha - p_k| < psi(q_{k+1}) along the first K convergents.
 
     The verdict passes up to q_K iff no failures occur beyond the burn-in
-    (blocks whose right endpoint is below psi's domain start are skipped).
-    Strictness follows the same tolerance policy as the lattice checker.
+    (blocks whose right endpoint is below psi's domain start psi.t0 are
+    skipped).  Strictness follows the same tolerance policy as the lattice
+    checker.
     """
     if K < 3:
         raise ValidationError("K must be >= 3")
     cf = cf_expand(alpha, K + 1)
-    burn = psi.t0 if burn_in_q is None else float(burn_in_q)
+    burn = psi.t0
     verdict = FiniteHorizonVerdict(
         alpha=alpha,
         horizon_q=cf.convergents[-1][1] if cf.convergents else 0,
@@ -110,18 +119,19 @@ def cf_is_psi_dirichlet(
             continue
         verdict.failures.append(k)
         q_k = cf.convergents[k][1]
-        lo = max(float(q_k), psi_inverse(psi, err, max(burn, psi.t0), t_cap))
+        lo = max(float(q_k), psi_inverse(psi, err, burn, t_cap))
         verdict.failure_intervals.append((lo, float(q_next)))
     return verdict
 
 
-def cf_uncovered_intervals(alpha: float, psi: PsiFunction, T: float, hard_cap: int = 10_000):
+def cf_uncovered_intervals(alpha: float, psi: PsiFunction, T: float):
     """Uncovered subset of (psi.t0, T] predicted by the convergent blocks.
 
-    Independent of the lattice scan: per failing block the uncovered part
-    is [psi^{-1}(err_k), q_{k+1}] clipped to the scan domain.
+    Per failing block the uncovered part is [psi^{-1}(err_k), q_{k+1}]
+    clipped to the scan domain; the blocks are joined by
+    intervals.merge_intervals, the scan's rule.
     """
-    cf = cf_expand(alpha, hard_cap)
+    cf = cf_expand(alpha, _MAX_QUOTIENTS)
     t_start = psi.t0
     t_cap = 10.0 * T
     out = []
@@ -139,11 +149,4 @@ def cf_uncovered_intervals(alpha: float, psi: PsiFunction, T: float, hard_cap: i
         cross = psi_inverse(psi, err, t_start, t_cap)
         if cross < block_hi:
             out.append((max(block_lo, cross), block_hi))
-    # merge adjacent blocks sharing an endpoint
-    merged = []
-    for lo, hi in out:
-        if merged and lo <= merged[-1][1] + 1e-9 * max(1.0, lo):
-            merged[-1] = (merged[-1][0], hi)
-        else:
-            merged.append((lo, hi))
-    return merged
+    return merge_intervals(out)

@@ -35,6 +35,7 @@ from .experiments import (
     orbit_hit_series,
     verify_disjointness,
 )
+from .intervals import endpoints_agree
 from .mc import fit_scaling, measure_profile
 from .parallel import indexed_map
 from .rate import s0_of
@@ -197,12 +198,7 @@ def _run_check(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         result["cf_uncovered"] = cf_intervals
         result["cf_passes"] = not cf_intervals
         if oracle == "both":
-            agree = len(cf_intervals) == len(scan.uncovered) and all(
-                abs(a - b) <= 1e-6 * max(1.0, abs(a))
-                for (a1, a2), (b1, b2) in zip(cf_intervals, scan.uncovered)
-                for a, b in ((a1, b1), (a2, b2))
-            )
-            result["oracles_agree"] = agree
+            result["oracles_agree"] = endpoints_agree(cf_intervals, scan.uncovered)
     passes = result.get("passes", result.get("cf_passes"))
     print("PASS" if passes else "FAIL")
     uncovered = result.get("uncovered", result.get("cf_uncovered", []))

@@ -7,7 +7,8 @@ A pair (p, q) solves the system at time t when
 so for the componentwise-nearest p the pair covers the open t-interval
 ( ||q||_beta , psi^{-1}(err) ).  The scan computes the union of these
 intervals over every admissible q exactly (no t-grid) and reports the
-uncovered complement of (t_start, T].
+uncovered complement of (t_start, T]: intervals.sweep, under the interval
+algebra's one tolerance rule, with the near-ties that rule decided.
 
 Only "record" pairs matter: a q whose error is not a strict running
 minimum in order of increasing ||q||_beta is subsumed by an earlier one.
@@ -37,11 +38,11 @@ import numpy as np
 from .approx import PsiFunction
 from .errors import BudgetExceeded, ValidationError
 from .exact2d import Exact2D, log_int
+from .intervals import sweep as _sweep
 from .lattice import WeightPair, boundary_tol, strictly_less
 
 _DENSE_LIMIT = 2_000_000
 _CHUNK = 1 << 22
-_MERGE_REL_TOL = 1e-11
 
 
 @dataclass
@@ -50,7 +51,7 @@ class ScanReport:
     T: float
     uncovered: list = field(default_factory=list)  # maximal uncovered intervals
     records: list = field(default_factory=list)  # (q_norm, err) strict records
-    boundary_points: list = field(default_factory=list)  # merge decisions within tol
+    boundary_points: list = field(default_factory=list)  # near-ties of intervals.sweep
     classic_mode: bool = False
     n_considered: int = 0
 
@@ -82,29 +83,6 @@ def psi_inverse(psi: PsiFunction, err: float, t_lo: float, t_cap: float) -> floa
         if hi - lo <= 1e-12 * max(1.0, lo):
             break
     return 0.5 * (lo + hi)
-
-
-def _sweep(intervals, t_start: float, T: float):
-    """Uncovered subset of (t_start, T] under a union of open-left intervals."""
-    uncovered = []
-    boundary = []
-    reach = t_start
-    for l, r in sorted(intervals):
-        if r <= l or l >= T:
-            continue
-        tol = _MERGE_REL_TOL * max(1.0, abs(reach))
-        if l > reach + tol:
-            uncovered.append((reach, min(l, T)))
-            reach = l
-        elif l > reach - tol:
-            boundary.append(reach)
-        if r > reach:
-            reach = r
-        if reach >= T:
-            break
-    if reach < T - _MERGE_REL_TOL * max(1.0, T):
-        uncovered.append((reach, T))
-    return uncovered, boundary
 
 
 def _records_dense(num: int, den_exp: int, T: int):

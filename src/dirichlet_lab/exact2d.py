@@ -67,14 +67,13 @@ from bisect import bisect_left, bisect_right
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, ValidationError
+# Not called here: perfbench traces these names as its `exact2d.intervals` row.
+from .intervals import complement_within as _complement  # noqa: F401
+from .intervals import intersect_intervals as _intersect  # noqa: F401
+from .intervals import merge_intervals as _merge  # noqa: F401
 from .lattice import WeightPair
 from .targets import _WINDOWS, KIND_PRIMED, KIND_SUB, KIND_THICK_PRIMED
 from .targets import check_radius, profile_keys, witness_from_logs
-
-# Not called here: perfbench traces these names as its `exact2d.intervals` row.
-from .targets import complement_within as _complement  # noqa: F401
-from .targets import intersect_intervals as _intersect  # noqa: F401
-from .targets import merge_intervals as _merge  # noqa: F401
 
 _LOG2 = math.log(2.0)
 # Box bounds are doubles near den * e^{-sigma} and e^{sigma}, clamped at e^700

@@ -34,6 +34,7 @@ from .lattice import (
 from .mc import CoordinateRegion, sample_region_lattice
 from .parallel import indexed_map
 from .rate import RateFunction, dani_row, s0_of
+from .reports import basis_rows
 from .rng import sample_torus_fixedpoint, substream
 from .targets import (
     _WINDOWS,
@@ -286,8 +287,6 @@ def verify_disjointness(
         reduce_lattices(flowed)
         for k, hit in enumerate(thickened_hits(flowed, spec.kind, [spec.r] * J, w), start=1):
             if hit:
-                from .reports import basis_rows
-
                 report.violations.append(
                     {"sample": idx, "k": k, "basis": basis_rows(member.basis)}
                 )

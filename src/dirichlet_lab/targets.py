@@ -11,7 +11,8 @@ Thickened membership is decided without any s-grid: every candidate vector
 contributes one s-interval per condition (each flowed coordinate is
 monotone in s, so endpoints solve in closed form), and the interval sets
 are combined exactly (complement-of-union for cube avoidance, union for
-slab hitting).  `witness_from_logs` is the one copy of those formulas: an
+slab hitting) by the interval algebra of `intervals`, under its one
+tolerance rule.  `witness_from_logs` is the one copy of those formulas: an
 array kernel over an (N, d) array of log-moduli, each row tagged with the
 query that owns it, so one call answers every (kind, r) of a pass of
 lattices.  Since it reads nothing but log-moduli, the float path here
@@ -35,6 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError
+from .intervals import complement_within, intersect_intervals, merge_intervals, nonempty
 from .lattice import (
     Box,
     UnimodularLattice,
@@ -53,9 +55,6 @@ KIND_THICK_PRIMED = "thick_primed"
 _KINDS = (KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED)
 
 _WINDOWS = {KIND_THICK: 1.0, KIND_THICK_PRIMED: 0.5}
-
-# intervals shorter than this are treated as empty (boundary tolerance)
-_MIN_LEN = 1e-12
 
 # lattice points one lattice may have in an enumerated box before CapExceeded
 _CAP = 500_000
@@ -91,52 +90,6 @@ class TargetSpec:
     @property
     def base_kind(self) -> str:
         return KIND_PRIMED if self.kind == KIND_THICK_PRIMED else KIND_SUB
-
-
-def merge_intervals(intervals):
-    """Union of open intervals as a sorted disjoint list."""
-    ivs = sorted((lo, hi) for lo, hi in intervals if hi - lo > _MIN_LEN)
-    out = []
-    for lo, hi in ivs:
-        if out and lo <= out[-1][1] + _MIN_LEN:
-            out[-1] = (out[-1][0], max(out[-1][1], hi))
-        else:
-            out.append((lo, hi))
-    return out
-
-
-def complement_within(intervals, lo: float, hi: float):
-    """[lo, hi] minus a merged interval list."""
-    out = []
-    cursor = lo
-    for a, b in intervals:
-        if b <= cursor:
-            continue
-        if a > hi:
-            break
-        if a - cursor > _MIN_LEN:
-            out.append((cursor, min(a, hi)))
-        cursor = max(cursor, b)
-        if cursor >= hi:
-            break
-    if hi - cursor > _MIN_LEN:
-        out.append((cursor, hi))
-    return out
-
-
-def intersect_intervals(xs, ys):
-    out = []
-    i = j = 0
-    while i < len(xs) and j < len(ys):
-        lo = max(xs[i][0], ys[j][0])
-        hi = min(xs[i][1], ys[j][1])
-        if hi - lo > _MIN_LEN:
-            out.append((lo, hi))
-        if xs[i][1] < ys[j][1]:
-            i += 1
-        else:
-            j += 1
-    return out
 
 
 def witness_from_logs(logs, slab_ok, owner, queries, w: WeightPair, rows=None):
@@ -209,7 +162,7 @@ def _fold(columns, better):
 
 def _by_owner(owner, s_lo, s_hi, count: int):
     """Each row's interval (s_lo, s_hi) that is not empty, listed under its owner."""
-    keep = s_hi - s_lo > _MIN_LEN
+    keep = nonempty(s_lo, s_hi)
     groups = [[] for _ in range(count)]
     for o, lo, hi in zip(owner[keep].tolist(), s_lo[keep].tolist(), s_hi[keep].tolist()):
         groups[o].append((lo, hi))

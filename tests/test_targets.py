@@ -13,6 +13,7 @@ from dirichlet_lab.lattice import (
     UnimodularLattice,
     WeightPair,
     apply_flow,
+    boundary_tol,
     enumerate_in_box,
     has_nonzero_point,
     lattice_from_matrix,
@@ -344,6 +345,12 @@ def test_cusp_lattice_profile_exits_early(monkeypatch):
 
 # The per-point s-interval formulas that targets.witness_from_logs replaced,
 # kept as the reference its interval lists must equal bit for bit.
+def _not_empty(lo, hi):
+    """The interval rule through boundary_tol: hi - lo above the band at the
+    point of [lo, hi] nearest zero."""
+    return hi - lo > boundary_tol(min(abs(lo), abs(hi)) if lo * hi > 0.0 else 0.0)
+
+
 def _cube_entry_interval_reference(v, r, w):
     m = w.m
     lo, hi = -math.inf, math.inf
@@ -355,7 +362,7 @@ def _cube_entry_interval_reference(v, r, w):
         x = abs(v[m + j])
         if x > 0.0:
             lo = max(lo, (r + math.log(x)) / b)
-    return (lo, hi) if hi - lo > targets._MIN_LEN else None
+    return (lo, hi) if _not_empty(lo, hi) else None
 
 
 def _slab_entry_interval_reference(v, r, w):
@@ -376,7 +383,7 @@ def _slab_entry_interval_reference(v, r, w):
         x = abs(v[m + j])
         if x > 0.0:
             lo = max(lo, (math.log(x) - half_log_r) / b)
-    return (lo, hi) if hi - lo > targets._MIN_LEN else None
+    return (lo, hi) if _not_empty(lo, hi) else None
 
 
 def _witness_intervals_reference(candidates, spec):
