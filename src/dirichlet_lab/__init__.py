@@ -70,5 +70,11 @@ from .mc import (
     wilson_interval,
 )
 from .rate import RateFunction, clamp_rate, dani_rate, dani_time, rho_schedule
-from .rng import sample_torus, sample_torus_fixedpoint, substream, torus_samples
+from .rng import (
+    sample_torus,
+    sample_torus_fixedpoint,
+    substream,
+    torus_samples,
+    torus_samples_fixedpoint,
+)
 from .targets import TargetSpec, in_target, membership_profile

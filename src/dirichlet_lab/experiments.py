@@ -35,7 +35,7 @@ from .mc import CoordinateRegion, sample_region_lattice
 from .parallel import indexed_map
 from .rate import RateFunction, dani_row, s0_of
 from .reports import basis_rows
-from .rng import sample_torus_fixedpoint, substream
+from .rng import substream, torus_samples_fixedpoint
 from .targets import (
     _WINDOWS,
     KIND_PRIMED,
@@ -179,8 +179,10 @@ def empirical_zero_one(
     """Tail hit frequency of the primed shrinking-target series over an ensemble.
 
     Divergent rate series predict persistent tail hitting; convergent ones
-    predict vanishing tail frequency.  Members run on index-keyed
-    substreams, so evaluation order cannot affect any number.
+    predict vanishing tail frequency.  Member i's fixed-point A is
+    sample_torus_fixedpoint(substream(seed, label, i), 1, 1, bits), all
+    members drawn by one rng.torus_samples_fixedpoint call before the
+    orbits run, so evaluation order cannot affect any number.
     """
     if ensemble < 50:
         raise ValidationError("ensemble must be >= 50")
@@ -192,10 +194,11 @@ def empirical_zero_one(
         [_variant_radius(VARIANT_NDI, rate, w, k, 1.0, a) for k in range(k_lo, k_hi + 1)]
     )
 
+    nums, den = torus_samples_fixedpoint(seed, label, 0, ensemble, 1, 1, bits)
+
     def member(idx: int):
-        num, den = sample_torus_fixedpoint(substream(seed, label, idx), 1, 1, bits)
         series = orbit_hit_series(
-            (num[0][0], den), rate, VARIANT_NDI, (k_lo, k_hi), w, a=a, radii=radii
+            (nums[idx][0][0], den), rate, VARIANT_NDI, (k_lo, k_hi), w, a=a, radii=radii
         )
         return int(series.hits.sum()), series.tail_hit(), series.hits.astype(int).tolist()
 

@@ -112,15 +112,22 @@ def sweep(intervals, t_start: float, T: float):
     """(uncovered, near_ties) of (t_start, T] under a union of open intervals.
 
     uncovered is complement_within(merge_intervals(intervals), t_start, T).
-    near_ties lists the reach of the union, from t_start up to T, wherever
-    a start lands within the rule of it on either side: there the
-    tolerance, not the floats, decides whether the cover has a gap.  The
-    scan reports them as ScanReport.boundary_points.
+    near_ties lists, in order, the points of [t_start, T) where the
+    tolerance, not the floats, decides whether the cover has a gap: the
+    reach of the union wherever a start, or T, lands within the rule of it
+    on either side, and the start (or the gap's start, if later) of every
+    interval the rule drops inside a reported gap.  The scan reports them
+    as ScanReport.boundary_points.
     """
     ties = []
-    # a first run (-inf, t_start) makes t_start the reach the first starts meet
-    merged = _join(sorted([(-math.inf, t_start)] + _kept(intervals)), ties)
-    return complement_within(merged, t_start, T), [x for x in ties if x < T]
+    # a first run (-inf, t_start) makes t_start the reach the first starts
+    # meet, and a last run (T, inf) makes T a start the last reach meets
+    runs = [(-math.inf, t_start)] + _kept(intervals) + [(T, math.inf)]
+    uncovered = complement_within(_join(sorted(runs), ties), t_start, T)
+    for lo, hi in intervals if uncovered else ():
+        if 0 < hi - lo <= (1e-12 * lo if lo > 1.0 else -1e-12 * hi if hi < -1.0 else 1e-12):
+            ties += [max(lo, a) for a, b in uncovered if lo < b and hi > a]
+    return uncovered, sorted(x for x in ties if x < T)
 
 
 def endpoints_agree(xs, ys) -> bool:

@@ -9,8 +9,10 @@ estimates at different push times rather than by a closed-form bound.
 Every sample i draws from substream(seed, label, i): estimates are
 bit-identical regardless of evaluation order, and common random numbers
 across an r-grid come for free by reusing (seed, label).  The samples are
-drawn _LLL_CHUNK indices at a time by rng.torus_samples, whose row i is
-bit-equal to sample_torus(substream(seed, label, i), m, n).  At d >= 3
+drawn _DRAW_CHUNKS * _LLL_CHUNK indices per call of rng.torus_samples,
+whose numpy Philox kernel makes row i bit-equal to
+sample_torus(substream(seed, label, i), m, n) without building a
+generator, and are answered _LLL_CHUNK rows at a time.  At d >= 3
 each chunk is pushed as one stack (lattice.flowed_lattices); at m = n = 1
 each chunk runs one lockstep Euclid ladder in int64 arrays
 (exact2d.membership_profiles), where every value that decides a count comes
@@ -38,6 +40,10 @@ _Z95 = 1.959963984540054
 # through one lockstep Euclid ladder at d = 2) at a time: enough to spread the
 # per-pass overhead, few enough that a chunk's arrays stay small
 _LLL_CHUNK = 256
+# _LLL_CHUNKs drawn per rng.torus_samples call: its Philox kernel takes about
+# 0.19 ms a call for 1 row and 0.39 ms for 1 024 rows (2-core Xeon), so a few
+# chunks share one call
+_DRAW_CHUNKS = 4
 
 # zeta(2)..zeta(6); enumeration is capped at d = 6 anyway
 _ZETA = {
@@ -104,7 +110,7 @@ def measure_profile(
 ):
     """McEstimate for every (kind, r) on shared samples (common random numbers).
 
-    The keys are targets.profile_keys.  Samples are drawn _LLL_CHUNK at a
+    The keys are targets.profile_keys.  Samples are taken _LLL_CHUNK at a
     time, each chunk is answered by one membership table with those keys,
     and the counts are its column sums.  At m = n = 1 that is
     exact2d.membership_profiles: one lockstep Euclid ladder over the
@@ -139,9 +145,16 @@ def measure_profile(
 
 
 def _torus_chunks(seed: int, label: str, N: int, m: int, n: int):
-    """The torus samples of indices 0..N-1, as _LLL_CHUNK-row stacks."""
-    for start in range(0, N, _LLL_CHUNK):
-        yield torus_samples(seed, label, start, min(start + _LLL_CHUNK, N), m, n)
+    """The torus samples of indices 0..N-1, as _LLL_CHUNK-row stacks.
+
+    They are drawn _DRAW_CHUNKS chunks per rng.torus_samples call, which
+    changes no row: row i is the sample of index i however the range is cut.
+    """
+    block = _DRAW_CHUNKS * _LLL_CHUNK
+    for first in range(0, N, block):
+        samples = torus_samples(seed, label, first, min(first + block, N), m, n)
+        for start in range(0, len(samples), _LLL_CHUNK):
+            yield samples[start : start + _LLL_CHUNK]
 
 
 def estimate_measure_equidist(

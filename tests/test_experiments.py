@@ -18,11 +18,11 @@ from dirichlet_lab.experiments import (
     orbit_hit_series,
     verify_disjointness,
 )
-from dirichlet_lab import rate
+from dirichlet_lab import experiments, rate
 from dirichlet_lab.exact2d import Exact2D
 from dirichlet_lab.lattice import WeightPair
 from dirichlet_lab.rate import RateFunction, dani_rate, dani_time, s0_of
-from dirichlet_lab.rng import sample_torus, substream
+from dirichlet_lab.rng import sample_torus, sample_torus_fixedpoint, substream
 from dirichlet_lab.targets import KIND_PRIMED, TargetSpec, in_target
 
 W11 = WeightPair.unweighted(1, 1)
@@ -102,6 +102,28 @@ def test_empirical_zero_one_determinism():
     r1 = empirical_zero_one(rate, W11, 50, (5, 15), a=0.5, seed=73)
     r2 = empirical_zero_one(rate, W11, 50, (5, 15), a=0.5, seed=73)
     assert r1.hit_counts == r2.hit_counts
+
+
+def test_empirical_zero_one_members_are_their_substreams_without_building_them(monkeypatch):
+    seen = []
+    orbit = experiments.orbit_hit_series
+
+    def record(A, *args, **kwargs):
+        seen.append(A)
+        return orbit(A, *args, **kwargs)
+
+    def refuse(*args):
+        raise AssertionError("a member built its own substream")
+
+    monkeypatch.setattr(experiments, "orbit_hit_series", record)
+    monkeypatch.setattr(experiments, "substream", refuse)
+    empirical_zero_one(RATE03, W11, 50, (5, 15), a=0.5, seed=73)
+    bits = ensemble_bits(16.0)
+    want = []
+    for i in range(50):
+        num, den = sample_torus_fixedpoint(substream(73, "zeroone", i), 1, 1, bits)
+        want.append((num[0][0], den))
+    assert sorted(seen) == sorted(want)
 
 
 def test_construct_primed_lattice_verified():

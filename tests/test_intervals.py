@@ -153,6 +153,21 @@ def test_sweep_near_ties_match_the_parent_sweep_where_the_tolerances_agree():
     assert seen > 100
 
 
+def test_sweep_lists_the_last_gap_the_rule_closes():
+    # (10 - 5e-12, 10] is shorter than the band at 10: closed, and a near-tie
+    assert sweep([(0.0, 10.0 - 5e-12)], 0.0, 10.0) == ([], [0.0, 10.0 - 5e-12])
+    # twice the band stays open; a reach of exactly T leaves no gap to decide
+    assert sweep([(0.0, 10.0 - 2e-11)], 0.0, 10.0) == ([(10.0 - 2e-11, 10.0)], [0.0])
+    assert sweep([(0.0, 10.0)], 0.0, 10.0) == ([], [0.0])
+
+
+def test_sweep_lists_an_interval_the_rule_drops_inside_a_gap():
+    dropped = (5 + 3e-12, 5 + 6e-12)  # shorter than the band at 5
+    assert sweep([(0, 5), dropped, (5 + 9e-12, 10)], 0, 10) == ([(5, 5 + 9e-12)], [0, 5 + 3e-12])
+    # one that the cover holds decides nothing
+    assert sweep([(0, 10), dropped], 0, 10) == ([], [0])
+
+
 def test_endpoints_agree_within_a_millionth():
     xs = [(10.0, 20.0), (1e6, 2e6)]
     assert endpoints_agree(xs, [(10.0 + 5e-6, 20.0), (1e6 + 0.5, 2e6)])

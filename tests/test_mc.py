@@ -271,6 +271,21 @@ def test_measure_profile_does_not_depend_on_the_lll_chunk(monkeypatch, chunk, di
     assert measure_profile(*args, seed=4) == want
 
 
+def test_torus_chunks_cross_a_draw_block_unchanged(monkeypatch):
+    # a range past two draw blocks, ending in a short chunk: the same
+    # _LLL_CHUNK stacks as one substream per index, one draw per block
+    block = mc._DRAW_CHUNKS * mc._LLL_CHUNK
+    N = 2 * block + 300
+    draws = []
+    draw = mc.torus_samples
+    monkeypatch.setattr(mc, "torus_samples", lambda *args: draws.append(args[2:4]) or draw(*args))
+    stacks = list(mc._torus_chunks(6, "measure", N, 1, 2))
+    assert draws == [(0, block), (block, 2 * block), (2 * block, N)]
+    assert [len(A) for A in stacks] == [mc._LLL_CHUNK] * (N // mc._LLL_CHUNK) + [N % mc._LLL_CHUNK]
+    want = np.stack([sample_torus(substream(6, "measure", i), 1, 2) for i in range(N)])
+    assert np.concatenate(stacks).tobytes() == want.tobytes()
+
+
 def test_measure_profile_d3_matches_a_per_sample_loop():
     # N = 1000 leaves a last chunk of 1000 - 3 * 256 = 232 samples
     w = WeightPair.unweighted(1, 2)
