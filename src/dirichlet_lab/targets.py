@@ -21,7 +21,9 @@ lattices.  Since it reads nothing but log-moduli, the float path here
 
 `membership_profiles` enumerates each lattice at most once and reads every
 (kind, r) off that one point set: the cubes, slabs and thickening windows
-are all nested in one enumerated cube.  It answers a list of lattices as
+are all nested in one enumerated box (`_candidate_box`: each base target's
+bounds, a contracting coordinate's widened by the flow over its window).
+It answers a list of lattices as
 one table of `profile_keys` columns by lattice rows, as exact2d's d = 2
 table does, a pass at a time (`lattice.lattices_per_pass`), each pass
 with batched enumerations of all its lattices; `membership_profile` reads
@@ -56,7 +58,10 @@ _KINDS = (KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED)
 
 _WINDOWS = {KIND_THICK: 1.0, KIND_THICK_PRIMED: 0.5}
 
-# lattice points one lattice may have in an enumerated box before CapExceeded
+# lattice points one lattice may have in an enumerated box before CapExceeded.
+# The enumeration's guard counts the rows of the box's circumscribed ball; at
+# d >= 3 the thickened targets enumerate _candidate_box, whose ball is smaller
+# than the e^window cube's, so a degenerate lattice that once raised may answer.
 _CAP = 500_000
 
 
@@ -173,9 +178,39 @@ def _candidate_cube(window: float, d: int) -> Box:
     """Closed cube holding every vector that can enter a base target within the window.
 
     The flow over the window moves any coordinate by a factor at most
-    e^window and every base-target bound is below 1 + r/2d.
+    e^window and every base-target bound is below 1 + r/2d.  Only
+    in_target_grid_oracle enumerates it, so the oracle does not share
+    _candidate_box with the path it checks.
     """
     return Box.closed_cube(math.exp(window) * (1.0 + 1e-9), d)
+
+
+def _candidate_box(queries, w: WeightPair) -> Box:
+    """Closed box holding every vector that can enter some query's base target over its window.
+
+    A query (r, primed, 0, window) bounds each coordinate by its base
+    target's bound b: b = e^-r for the cube and, when primed, b_0 = 1 + r/2d
+    and b = sqrt r elsewhere for the slab.  Over s in [0, window) the flow
+    only grows an expanding coordinate, so it must already lie below b_i,
+    and shrinks a contracting one by at most e^{beta_j window}, so it lies
+    below b_j e^{beta_j window}.  A window of 0 gives the open cube and
+    r_box themselves.  The box is the union of these bounds times
+    1 + 1e-9: a row outside it enters a base target only at some s at least
+    about 1e-9 outside [0, window) (every weight is at most 1), far beyond
+    the interval rule's 1e-12, so every interval list is the one the
+    e^window cube's rows give.
+    """
+    d = w.m + w.n
+    growth = np.concatenate([np.zeros(w.m), w.beta])
+    half = np.zeros(d)
+    for r, primed, _, window in queries:
+        bounds = [np.full(d, math.exp(-r))]
+        if primed:
+            bounds.append(np.array([1.0 + r / (2 * d)] + [math.sqrt(r)] * (d - 1)))
+        for b in bounds:
+            half = np.maximum(half, b * np.exp(growth * window))
+    half *= 1.0 + 1e-9
+    return Box.closed_box(-half, half)
 
 
 def _log_moduli(points):
@@ -204,34 +239,34 @@ def _check_weights(L: UnimodularLattice, w: WeightPair):
 def thickened_witness_intervals(L: UnimodularLattice, spec: TargetSpec):
     """s-subsets of [0, window) on which g_s L lies in the base target:
     the N = 1 form of _witness_table."""
-    return _witness_table([L], [[spec]], spec.weights)[2][0][0]
+    w = spec.weights
+    return _witness_table([L], [[spec]], w, _candidate_box([_query(spec)], w))[2][0][0]
 
 
-def _witness_table(lattices, table, w: WeightPair):
+def _witness_table(lattices, table, w: WeightPair, box: Box):
     """Interval lists of every thickened spec table[i][t] of lattice i.
 
-    Every column t holds one kind.  The candidate cube of the widest window
-    is enumerated for all the lattices at once, and a narrower window's
-    candidates are the rows inside its own cube (the same rows, in the same
-    order, as enumerating that cube).  One kernel call answers the whole
-    table, each (lattice, spec) a query.  Returns (points, owner, found):
-    the enumerated points, the lattice of each, and found[i][t].
+    Every column t holds one kind.  The box, which holds the _candidate_box
+    of every column, is enumerated for all the lattices at once, and a
+    column's candidates are the rows inside its own box (the same rows, in
+    the same order, as enumerating that box).  One kernel call answers the
+    whole table, each (lattice, spec) a query.  Returns (points, owner,
+    found): the enumerated points, the lattice of each, and found[i][t].
     """
     for L in lattices:
         _check_weights(L, w)
-    windows = [spec.window for spec in table[0]]
-    d = lattices[0].d
-    points, owner = enumerate_in_box_batch(lattices, _candidate_cube(max(windows), d), cap=_CAP)
-    # every point lies in the widest cube (enumerate_in_box_batch applies the same test)
-    inside = {max(windows): np.arange(points.shape[0])}
-    for window in set(windows) - set(inside):
-        inside[window] = np.flatnonzero(_candidate_cube(window, d).contains_rows(points))
-    width = len(windows)
-    rows = np.concatenate([inside[window] for window in windows])
-    query = np.concatenate([owner[inside[window]] * width + t for t, window in enumerate(windows)])
+    points, owner = enumerate_in_box_batch(lattices, box, cap=_CAP)
+    width = len(table[0])
+    queries = [_query(spec) for specs in table for spec in specs]
+    columns = [_candidate_box(set(queries[t::width]), w) for t in range(width)]
+    # every point lies in the enumerated box (enumerate_in_box_batch applies the same test)
+    inside = {box: np.arange(points.shape[0])}
+    for column in set(columns) - set(inside):
+        inside[column] = np.flatnonzero(column.contains_rows(points))
+    rows = np.concatenate([inside[column] for column in columns])
+    query = np.concatenate([owner[inside[column]] * width + t for t, column in enumerate(columns)])
     found = witness_from_logs(
-        _log_moduli(points), points[:, 0] > 0.0, query,
-        [_query(spec) for specs in table for spec in specs], w, rows,
+        _log_moduli(points), points[:, 0] > 0.0, query, queries, w, rows,
     )
     return points, owner, [found[i : i + width] for i in range(0, len(found), width)]
 
@@ -239,18 +274,20 @@ def _witness_table(lattices, table, w: WeightPair):
 def thickened_hits(lattices, kind: str, radii, w: WeightPair) -> list:
     """Membership of lattice i in the thickened target (kind, radii[i]), for every i.
 
-    One _witness_table pass per lattices_per_pass lattices; every answer
-    equals in_target's.
+    The passes hold lattices_per_pass lattices of the _candidate_box of
+    every radius, and each enumerates the _candidate_box of its own radii
+    (one _witness_table call); every answer equals in_target's.
     """
     if kind not in _WINDOWS:
         raise ValidationError(f"{kind!r} is not a thickened kind")
     specs = [TargetSpec(kind, float(r), w) for r in radii]
     hits = []
     if lattices:
-        size = lattices_per_pass(_candidate_cube(_WINDOWS[kind], lattices[0].d))
+        size = lattices_per_pass(_candidate_box({_query(spec) for spec in specs}, w))
         for start in range(0, len(lattices), size):
-            part = slice(start, start + size)
-            _, _, found = _witness_table(lattices[part], [[spec] for spec in specs[part]], w)
+            part = specs[start : start + size]
+            box = _candidate_box({_query(spec) for spec in part}, w)
+            _, _, found = _witness_table(lattices[start : start + size], [[spec] for spec in part], w, box)
             hits += [bool(row[0]) for row in found]
     return hits
 
@@ -271,9 +308,10 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
     lattices_per_pass of the largest box a pass enumerates.  A pass makes
     batched enumerations, one point evaluation per enumerated block, one
     `contains_rows` pass per cube or slab over all of its rows, and at most
-    one call of the s-interval kernel.  With a thickened kind, the
-    candidate cube of the widest window is enumerated (`_witness_table`)
-    and `sub`/`primed` are read off the same points.  Otherwise an
+    one call of the s-interval kernel.  With a thickened kind, one
+    `_candidate_box` of every thickened key and of every open cube and slab
+    the other keys test is enumerated (`_witness_table`), and `sub`/`primed`
+    are read off the same points.  Otherwise an
     early-exit probe of the smallest open cube e^-r_max comes first: a point
     there puts a lattice outside every sub(r) and primed(r).  The lattices
     with no point there take, for a single r, an early-exit probe of its
@@ -292,7 +330,10 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
     slabs = [r_box(r, d) for r in radii] if any(kind == KIND_PRIMED for kind, _ in keys) else []
     size = len(lattices)
     if thick:
-        size = lattices_per_pass(_candidate_cube(max(spec.window for spec in thick), d))
+        # a window of 0 holds the open cube at r and, with slabs, r_box(r, d)
+        tested = [(r, bool(slabs), 0.0, 0.0) for r in radii]
+        candidates = _candidate_box([_query(spec) for spec in thick] + tested, w)
+        size = lattices_per_pass(candidates)
     elif radii:
         half = max(abs(x) for box in cubes + slabs for x in box.lower + box.upper)
         cover = Box.closed_cube(half, d)  # holds every open cube and slab
@@ -303,7 +344,7 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
         rows = hits[start : start + n]
         points = owner = None
         if thick:
-            points, owner, found = _witness_table(part, [thick] * n, w)
+            points, owner, found = _witness_table(part, [thick] * n, w, candidates)
             rows[:, thick_cols] = [[bool(ivs) for ivs in row] for row in found]
         if radii:
             in_cube = np.zeros((len(radii), n), dtype=bool)  # some nonzero point in the open cube at r

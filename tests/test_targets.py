@@ -15,6 +15,7 @@ from dirichlet_lab.lattice import (
     apply_flow,
     boundary_tol,
     enumerate_in_box,
+    flowed_lattices,
     has_nonzero_point,
     lattice_from_matrix,
     r_box,
@@ -37,6 +38,7 @@ from dirichlet_lab.targets import (
     membership_profiles,
     merge_intervals,
     profile_keys,
+    thickened_hits,
     thickened_witness_intervals,
     witness_from_logs,
 )
@@ -475,6 +477,92 @@ def test_grouped_kernel_equals_one_call_per_query(w):
             targets._log_moduli(points), points[:, 0] > 0.0, owner, [query for _, query in groups], w, point
         )
         assert repr(shared) == repr(singles)
+
+
+def _face_rows(box: Box):
+    """One row per face of a closed box centred at 0, just outside the face
+    and 0 in every other coordinate (log -inf there, the widest s-range)."""
+    rows = []
+    for k, hi in enumerate(box.upper):
+        for sign in (1.0, -1.0):
+            row = np.zeros(box.d)
+            row[k] = sign * hi * (1.0 + 4e-12)
+            rows.append(row)
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("w", _KERNEL_WEIGHTS)
+def test_candidate_box_leaves_out_only_rows_that_enter_no_base_target(w):
+    # every row of the e^window cube outside a spec's _candidate_box, and
+    # every row just outside one of the box's faces, enters neither the cube
+    # nor (thick_primed) the slab on [0, window): alone, it keeps sub on the
+    # whole window and gives primed nothing
+    dims = w.dims
+    lattices = [
+        apply_flow(lattice_from_matrix(sample_torus(substream(25, f"kernel-{w.alpha}-{w.beta}", i), dims.m, dims.n), dims), 2.0 + 0.5 * i, w)
+        for i in range(6)
+    ]
+    for kind in (KIND_THICK, KIND_THICK_PRIMED):
+        window = targets._WINDOWS[kind]
+        cube = targets._candidate_cube(window, dims.d)
+        rows = np.concatenate([enumerate_in_box(L, cube) for L in lattices])
+        for r in (0.02, 0.1, 0.3, 0.7):
+            spec = TargetSpec(kind, r, w)
+            box = targets._candidate_box([targets._query(spec)], w)
+            faces = _face_rows(box)
+            assert not box.contains_rows(faces).any() and cube.contains_rows(faces).all()
+            out = rows[~box.contains_rows(rows)]
+            assert out.shape[0] > 0
+            out = np.concatenate([out, faces])
+            logs, owner = targets._log_moduli(out), np.arange(len(out))
+            queries = [(r, False, 0.0, window)] + ([(r, True, 0.0, window)] if spec.base_kind == KIND_PRIMED else [])
+            for query in queries:
+                got = witness_from_logs(logs, out[:, 0] > 0.0, owner, [query] * len(out), w)
+                assert got == [[] if query[1] else [(0.0, window)]] * len(out), (kind, r, query)
+
+
+@pytest.mark.parametrize("w", _KERNEL_WEIGHTS)
+def test_thickened_hits_equal_the_answers_of_the_e_window_cube(w):
+    # orbit-style: one A flowed to k = 1..14 at shrinking radii, each answer
+    # the kernel's over every point of the e^window cube
+    dims = w.dims
+    radii = [0.7 * 0.8**k for k in range(1, 15)]
+    seen = set()
+    for i in range(3):
+        A = sample_torus(substream(30, f"orbit-box-{w.alpha}-{w.beta}", i), dims.m, dims.n)
+        flowed = flowed_lattices(lattice_from_matrix(A, dims).basis, np.arange(1.0, 15.0), w)
+        reduce_lattices(flowed)
+        for kind in (KIND_THICK, KIND_THICK_PRIMED):
+            want = []
+            for L, r in zip(flowed, radii):
+                spec = TargetSpec(kind, r, w)
+                points = enumerate_in_box(L, targets._candidate_cube(spec.window, dims.d), cap=targets._CAP)
+                owner = np.zeros(len(points), dtype=np.intp)
+                found = witness_from_logs(targets._log_moduli(points), points[:, 0] > 0.0, owner, [targets._query(spec)], w)
+                want.append(bool(found[0]))
+            assert thickened_hits(flowed, kind, radii, w) == want, (i, kind)
+            seen.update(want)
+    assert seen == {False, True}
+
+
+@pytest.mark.parametrize(
+    "w", [WeightPair.unweighted(1, 2), WeightPair.unweighted(2, 1), WeightPair(alpha=(1.0,), beta=(0.3, 0.7))]
+)
+def test_thick_with_sub_and_primed_answers_each_key_as_asked_alone(w):
+    # the box enumerated for thick must also hold the open cube and the slab
+    # sub and primed test: the slab reaches 1 + r/2d in its first
+    # coordinate, past every bound of the thickened cube
+    dims = w.dims
+    lattices = [
+        apply_flow(lattice_from_matrix(sample_torus(substream(31, f"mixed-{w.alpha}-{w.beta}", i), dims.m, dims.n), dims), 0.25 * (i % 40), w)
+        for i in range(200)
+    ]
+    reduce_lattices(lattices)
+    keys, hits = membership_profiles(lattices, [KIND_THICK, KIND_SUB, KIND_PRIMED], [0.05, 0.7], w)
+    for col, (kind, r) in enumerate(keys):
+        alone = membership_profiles(lattices, [kind], [r], w)[1][:, 0]
+        assert hits[:, col].tolist() == alone.tolist(), (kind, r)
+        assert 0 < alone.sum() < len(lattices), (kind, r)
 
 
 def test_membership_profile_answers_every_thick_query_from_one_kernel_call(monkeypatch):
