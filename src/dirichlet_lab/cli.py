@@ -36,7 +36,7 @@ from .experiments import (
     verify_disjointness,
 )
 from .intervals import endpoints_agree
-from .mc import fit_scaling, measure_profile
+from .mc import fit_refusal, fit_scaling, measure_profile
 from .parallel import indexed_map
 from .rate import s0_of
 from .reports import write_csv, write_json, write_plot_data, write_run_manifest
@@ -219,17 +219,16 @@ def _run_measure(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         r_lo = cfg.get_float("measure.r_min", 0.02)
         r_hi = cfg.get_float("measure.r_max", 0.2)
         count = cfg.get_int("measure.r_count", 8)
+        if count < 1:
+            raise ValidationError("measure.r_count must be >= 1")
         r_values = list(np.geomspace(r_lo, r_hi, count))
     N = cfg.get_int("measure.n", 10_000)
     s_push = cfg.get_float("measure.s_push", 10.0)
     profile = measure_profile(kinds, r_values, w, s_push, N, seed)
-    rows = []
-    for kind in kinds:
-        for r in r_values:
-            est = profile[(kind, float(r))]
-            rows.append(
-                (float(r), kind, dims.d, N, s_push, est.mean, est.ci_low, est.ci_high, seed)
-            )
+    rows = [
+        (r, kind, dims.d, N, s_push, est.mean, est.ci_low, est.ci_high, seed)
+        for (kind, r), est in profile.items()
+    ]
     files.append(
         write_csv(
             outdir / "measure.csv",
@@ -237,13 +236,15 @@ def _run_measure(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
             rows,
         )
     )
-    for kind in kinds:
-        means = [profile[(kind, float(r))].mean for r in r_values]
+    for kind in dict.fromkeys(kind for kind, _ in profile):
+        radii = [r for k, r in profile if k == kind]
+        estimates = [profile[(kind, r)] for r in radii]
+        means = [est.mean for est in estimates]
         thickened = kind not in (KIND_SUB, KIND_PRIMED)
-        if all(m > 0 for m in means) and len(r_values) >= 4:
+        if fit_refusal(radii, means) is None:
             fit = fit_scaling(
-                r_values,
-                [profile[(kind, float(r))] for r in r_values],
+                radii,
+                estimates,
                 dims,
                 thickened=thickened,
                 freeze_lambda=cfg.get_bool("fit.freeze_lambda", True),
@@ -257,7 +258,7 @@ def _run_measure(cfg: ExperimentConfig, outdir: Path, files: list) -> int:
         else:
             reference = "n/a"
         files.append(
-            write_plot_data(outdir / f"scaling_{kind}.csv", r_values, means, reference)
+            write_plot_data(outdir / f"scaling_{kind}.csv", radii, means, reference)
         )
     return 0
 

@@ -141,16 +141,19 @@ class ExperimentConfig:
         raise ValidationError(f"{key}={val!r} is not a boolean")
 
     def get_floats(self, key: str, default: str | None = None):
+        return self._get_list(key, default, float, "a number list")
+
+    def get_ints(self, key: str, default: str | None = None):
+        return self._get_list(key, default, int, "an integer list")
+
+    def _get_list(self, key: str, default, parse, what: str):
         val = self.get(key, default)
         if val is None:
             raise ValidationError(f"missing config key {key!r}")
         try:
-            return [float(v) for v in val.replace(",", " ").split()]
+            return [parse(v) for v in val.replace(",", " ").split()]
         except ValueError as exc:
-            raise ValidationError(f"{key}={val!r} is not a number list") from exc
-
-    def get_ints(self, key: str, default: str | None = None):
-        return [int(v) for v in self.get_floats(key, default)]
+            raise ValidationError(f"{key}={val!r} is not {what}") from exc
 
     # -- domain object builders ----------------------------------------------
 

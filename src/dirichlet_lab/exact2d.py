@@ -71,7 +71,7 @@ from .errors import BudgetExceeded, CapExceeded, ValidationError
 from .intervals import complement_within as _complement  # noqa: F401
 from .intervals import intersect_intervals as _intersect  # noqa: F401
 from .intervals import merge_intervals as _merge  # noqa: F401
-from .lattice import WeightPair
+from .lattice import WeightPair, boundary_tol
 from .targets import _WINDOWS, KIND_PRIMED, KIND_SUB, KIND_THICK_PRIMED
 from .targets import check_radius, profile_keys, witness_from_logs
 
@@ -434,7 +434,7 @@ class Exact2D:
 
     def in_sub(self, sigma: float, r: float) -> bool:
         """g_sigma L_A in Delta^-1[0, r]: no nonzero point in the open cube."""
-        return self.delta_flowed(sigma) <= r + 1e-12
+        return bool(self.delta_flowed(sigma) <= r + boundary_tol(r))
 
     def slab_points(self, sigma: float, r: float):
         """Points of g_sigma L_A in the slab (1 - r/4, 1 + r/4) x (-sqrt r, sqrt r).
@@ -590,11 +590,11 @@ def membership_profiles(samples, sigma: float, kinds, r_values):
             deltas[i] = exacts[i].delta_flowed(sigma)
         for col, (kind, r) in enumerate(keys):
             if kind in (KIND_SUB, KIND_PRIMED):
-                hits[:, col] = deltas <= r + 1e-12
+                hits[:, col] = deltas <= r + boundary_tol(r)
         primed = [col for col, (kind, _) in enumerate(keys) if kind == KIND_PRIMED]
         bounds = [_slab_bounds(keys[col][1]) for col in primed]
         r_max = max(r for _, r in keys)
-        rows = np.flatnonzero(deltas <= r_max + 1e-12) if primed else np.zeros(0, dtype=np.intp)
+        rows = np.flatnonzero(deltas <= r_max + boundary_tol(r_max)) if primed else np.zeros(0, dtype=np.intp)
         found = np.zeros((len(rows), len(primed)), dtype=bool)
         # over the bound the rungs miss slab points, so no lockstep row answers
         own = wide[rows] | (not _slab_on_rungs(r_max))

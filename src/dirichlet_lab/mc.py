@@ -8,13 +8,13 @@ estimates at different push times rather than by a closed-form bound.
 
 Every sample i draws from substream(seed, label, i): estimates are
 bit-identical regardless of evaluation order, and common random numbers
-across an r-grid come for free by reusing (seed, label).  The samples are
-drawn _DRAW_CHUNKS * _LLL_CHUNK indices per call of rng.torus_samples,
-whose numpy Philox kernel makes row i bit-equal to
+across an r-grid come for free by reusing (seed, label).  One chunk of
+_CHUNK indices is the unit of work from draw to count: one call of
+rng.torus_samples, whose numpy Philox kernel makes row i bit-equal to
 sample_torus(substream(seed, label, i), m, n) without building a
-generator, and are answered _LLL_CHUNK rows at a time.  At d >= 3
-each chunk is pushed as one stack (lattice.flowed_lattices); at m = n = 1
-each chunk runs one lockstep Euclid ladder in int64 arrays
+generator, draws it.  At d >= 3 the chunk is pushed as one stack
+(lattice.flowed_lattices) and reduced by one lockstep LLL; at m = n = 1
+it runs one lockstep Euclid ladder in int64 arrays
 (exact2d.membership_profiles), where every value that decides a count comes
 from math.log.  Both answer a chunk as one table of targets.profile_keys
 columns by sample rows, and the estimators sum its columns.
@@ -36,14 +36,12 @@ from .rng import substream, torus_samples
 from .targets import KIND_THICK_PRIMED, TargetSpec, membership_profiles, profile_keys
 
 _Z95 = 1.959963984540054
-# samples drawn (and pushed and reduced by one lockstep LLL at d >= 3, or run
-# through one lockstep Euclid ladder at d = 2) at a time: enough to spread the
-# per-pass overhead, few enough that a chunk's arrays stay small
-_LLL_CHUNK = 256
-# _LLL_CHUNKs drawn per rng.torus_samples call: its Philox kernel takes about
-# 0.19 ms a call for 1 row and 0.39 ms for 1 024 rows (2-core Xeon), so a few
-# chunks share one call
-_DRAW_CHUNKS = 4
+# samples drawn, pushed, reduced (one lockstep LLL at d >= 3, one lockstep
+# Euclid ladder at d = 2) and counted together: enough to spread the fixed
+# cost of a draw call (the Philox kernel takes about 0.19 ms for 1 row and
+# 0.39 ms for 1 024 rows on a 2-core Xeon) and of a pass, few enough that a
+# chunk's arrays stay small
+_CHUNK = 512
 
 # zeta(2)..zeta(6); enumeration is capped at d = 6 anyway
 _ZETA = {
@@ -110,11 +108,11 @@ def measure_profile(
 ):
     """McEstimate for every (kind, r) on shared samples (common random numbers).
 
-    The keys are targets.profile_keys.  Samples are taken _LLL_CHUNK at a
-    time, each chunk is answered by one membership table with those keys,
-    and the counts are its column sums.  At m = n = 1 that is
-    exact2d.membership_profiles: one lockstep Euclid ladder over the
-    chunk's exact (num, den) gives every Delta, bit-equal to
+    The keys are targets.profile_keys, and there must be at least one.
+    Samples are taken _CHUNK at a time, each chunk is answered by one
+    membership table with those keys, and the counts are its column sums.
+    At m = n = 1 that is exact2d.membership_profiles: one lockstep Euclid
+    ladder over the chunk's exact (num, den) gives every Delta, bit-equal to
     Exact2D.delta_flowed, and the slab is enumerated on the ladders of the
     samples with Delta <= max r.  Otherwise the float path pushes the chunk
     as one stack, reduces it with one lockstep LLL and answers it with one
@@ -128,6 +126,8 @@ def measure_profile(
     kinds = list(kinds)
     r_values = [float(r) for r in r_values]
     keys = profile_keys(kinds, r_values, w)
+    if not keys:
+        raise ValidationError("need at least one kind and one radius")
     counts = np.zeros(len(keys), dtype=np.int64)
     dims = w.dims
     for A in _torus_chunks(seed, label, N, dims.m, dims.n):
@@ -145,16 +145,11 @@ def measure_profile(
 
 
 def _torus_chunks(seed: int, label: str, N: int, m: int, n: int):
-    """The torus samples of indices 0..N-1, as _LLL_CHUNK-row stacks.
-
-    They are drawn _DRAW_CHUNKS chunks per rng.torus_samples call, which
-    changes no row: row i is the sample of index i however the range is cut.
-    """
-    block = _DRAW_CHUNKS * _LLL_CHUNK
-    for first in range(0, N, block):
-        samples = torus_samples(seed, label, first, min(first + block, N), m, n)
-        for start in range(0, len(samples), _LLL_CHUNK):
-            yield samples[start : start + _LLL_CHUNK]
+    """The torus samples of indices 0..N-1, as _CHUNK-row stacks, one
+    rng.torus_samples call each; row i is the sample of index i however the
+    range is cut."""
+    for first in range(0, N, _CHUNK):
+        yield torus_samples(seed, label, first, min(first + _CHUNK, N), m, n)
 
 
 def estimate_measure_equidist(
@@ -317,6 +312,17 @@ class FitReport:
         }
 
 
+def fit_refusal(r_values, means) -> str | None:
+    """Why fit_scaling refuses these points, or None when it fits them: it
+    needs >= 4 distinct radii spanning a decade and every estimate positive."""
+    radii = {float(r) for r in r_values}
+    if len(radii) < 4 or max(radii) / min(radii) < 10.0 - 1e-9:
+        return "need >= 4 distinct radii spanning a decade"
+    if any(m <= 0 for m in means):
+        return "estimates must be positive for a log fit"
+    return None
+
+
 def fit_scaling(
     r_values,
     estimates,
@@ -328,14 +334,14 @@ def fit_scaling(
 
     With freeze_lambda the log-log term is pinned at lambda_d and only
     (kappa, const) are fit.  Reference exponents: kappa_d + 1 for the
-    plain/primed targets, kappa_d for the thickened ones.
+    plain/primed targets, kappa_d for the thickened ones.  The points must
+    pass fit_refusal.
     """
     r_values = np.asarray([float(r) for r in r_values])
     mu = np.asarray([e.mean if isinstance(e, McEstimate) else float(e) for e in estimates])
-    if r_values.size < 4 or r_values.max() / r_values.min() < 10.0 - 1e-9:
-        raise ValidationError("need >= 4 radii spanning a decade")
-    if np.any(mu <= 0):
-        raise ValidationError("estimates must be positive for a log fit")
+    refusal = fit_refusal(r_values, mu)
+    if refusal:
+        raise ValidationError(refusal)
     y = np.log(mu)
     lx = np.log(r_values)
     llx = np.log(np.log(1.0 / r_values))
@@ -395,8 +401,8 @@ def pair_correlation(
 
     h_k(A) is the indicator of g_k L_A hitting the thickened primed target
     of radius 2 rho(k).  With independent=True the second indicator uses a
-    fresh sample (decorrelation sanity check).  Each chunk of samples takes
-    two d = 2 tables (exact2d.membership_profiles), at sigma = i and j.
+    fresh sample (decorrelation sanity check).  Each chunk of _CHUNK samples
+    takes two d = 2 tables (exact2d.membership_profiles), at sigma = i and j.
     """
     if not j > i >= 1:
         raise ValidationError("need j > i >= 1")

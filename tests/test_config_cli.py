@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from dirichlet_lab import rate
+from dirichlet_lab import mc, rate
 from dirichlet_lab.approx import ConstantRatio, DimensionParams
 from dirichlet_lab.cli import _build_parser, cli_main
 from dirichlet_lab.config import ExperimentConfig
@@ -284,6 +284,73 @@ def test_cli_measure_determinism_and_threads(tmp_path):
     body2 = run("b", 2)
     body3 = run("c", 1)
     assert body1 == body2 == body3
+
+
+def _measure(tmp_path, *argv):
+    return cli_main(["measure", "--N", "1000", "--seed", "2", "--out", str(tmp_path), *argv])
+
+
+def test_cli_measure_writes_each_key_once(tmp_path, capsys):
+    code = _measure(tmp_path, "--kinds", "sub,sub", "--r-values", "0.02,0.02,0.02,0.2")
+    assert code == 0
+    rows = (tmp_path / "measure.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[:2] for row in rows] == [["0.02", "sub"], ["0.2", "sub"]]
+    # two distinct radii do not span a fit: no kappa_hat, no fit file
+    assert "kappa_hat" not in capsys.readouterr().out
+    assert not (tmp_path / "fit_sub.json").exists()
+    plot = (tmp_path / "scaling_sub.csv").read_text().splitlines()
+    assert plot[0] == "# reference: n/a" and len(plot) == 4
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert sorted(manifest["file_digests"]) == ["measure.csv", "scaling_sub.csv"]
+
+
+def test_cli_measure_keeps_the_key_order_of_unrepeated_input(tmp_path, capsys):
+    radii = ["0.2", "0.02", "0.1", "0.05"]
+    assert _measure(tmp_path, "--kinds", "primed,sub", "--r-values", ",".join(radii)) == 0
+    rows = (tmp_path / "measure.csv").read_text().splitlines()[1:]
+    want = [[r, kind] for kind in ("primed", "sub") for r in radii]
+    assert [row.split(",")[:2] for row in rows] == want
+    assert "sub: kappa_hat" in capsys.readouterr().out
+
+
+def test_cli_measure_radii_short_of_a_decade_give_no_fit(tmp_path, capsys):
+    # the CLI's fit gate is fit_scaling's: four radii within a factor 2 fit
+    # nothing, and the run still writes its plot data and manifest
+    assert _measure(tmp_path, "--r-values", "0.1,0.12,0.15,0.2") == 0
+    assert "kappa_hat" not in capsys.readouterr().out
+    assert not (tmp_path / "fit_sub.json").exists()
+    assert (tmp_path / "scaling_sub.csv").read_text().startswith("# reference: n/a\n")
+    assert (tmp_path / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [("--kinds", " "), ("--r-values", " "), ("--set", "measure.r_count=0"), ("--set", "measure.r_count=-2")],
+    ids=["no-kinds", "no-radii", "r-count-0", "r-count-negative"],
+)
+def test_cli_measure_refuses_an_empty_key_list(tmp_path, capsys, monkeypatch, argv):
+    def no_draw(*args):
+        raise AssertionError("sampled before the keys were checked")
+
+    monkeypatch.setattr(mc, "torus_samples", no_draw)
+    assert _measure(tmp_path, *argv) == 1
+    assert "error" in capsys.readouterr().err
+    assert not (tmp_path / "measure.csv").exists()
+
+
+@pytest.mark.parametrize("horizons", ["1000.5,2000.9", "1000,2e3"])
+def test_cli_classify_refuses_non_integral_horizons(tmp_path, capsys, horizons):
+    code = cli_main(
+        [
+            "classify",
+            "--set", "psi.family=constant_ratio",
+            "--set", "psi.params=0.5",
+            "--horizons", horizons,
+            "--out", str(tmp_path),
+        ]
+    )
+    assert code == 1
+    assert "is not an integer list" in capsys.readouterr().err
 
 
 def test_cli_calls_share_the_parser_but_not_its_values(tmp_path):

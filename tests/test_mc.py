@@ -178,6 +178,16 @@ def test_fit_scaling_guards():
         fit_scaling([0.01, 0.03, 0.1, 0.2], [1.0, 2.0, 0.0, 3.0], D11)
 
 
+def test_fit_scaling_counts_distinct_radii():
+    # four radii but two distinct ones: a fit over them reads se ~ 1e-15
+    with pytest.raises(ValidationError, match="distinct"):
+        fit_scaling([0.02, 0.02, 0.02, 0.2], [0.01, 0.01, 0.01, 0.3], D11)
+    assert mc.fit_refusal([0.1, 0.12, 0.15, 0.2], [1, 2, 3, 4]) is not None
+    rs = [0.02, 0.05, 0.1, 0.2]
+    assert mc.fit_refusal(rs, [1, 2, 3, 4]) is None
+    assert mc.fit_refusal(rs, [1, 2, 0, 4]) is not None
+
+
 def test_pair_correlation_guards():
     rate = RateFunction.constant(0.3, D11)
     rho = lambda k: 0.5 * 0.9 * rate(float(k + 1))
@@ -226,13 +236,13 @@ def _pair_correlation_reference(i, j, rho, N, seed, independent, label="paircorr
 
 @pytest.mark.parametrize("independent", [False, True])
 def test_pair_correlation_matches_a_per_sample_loop(independent):
-    # N = 300 leaves a last chunk of 300 - 256 = 44 samples; repr prints
+    # N = 600 leaves a last chunk of 600 - 512 = 88 samples; repr prints
     # every float field round-trip exact, so equal reprs are equal bits
     rate = RateFunction.constant(0.3, D11)
     rho = lambda k: 0.5 * 0.9 * rate(float(k + 1))
-    rep = pair_correlation(3, 8, rho, W11, 300, seed=41, independent=independent)
-    assert 300 % mc._LLL_CHUNK == 44
-    assert repr(rep) == repr(_pair_correlation_reference(3, 8, rho, 300, 41, independent))
+    rep = pair_correlation(3, 8, rho, W11, 600, seed=41, independent=independent)
+    assert 600 % mc._CHUNK == 88
+    assert repr(rep) == repr(_pair_correlation_reference(3, 8, rho, 600, 41, independent))
     assert not rep.zero_hit
 
 
@@ -254,7 +264,7 @@ def test_measure_profile_reduces_each_sample_once(monkeypatch):
     radii = [0.02 * 10 ** (i / 7) for i in range(8)]
     profile = measure_profile([KIND_SUB, KIND_PRIMED], radii, w, 10.0, 1000, seed=0)
     assert singles == [] and sum(stacks) == 1000
-    assert stacks == [mc._LLL_CHUNK] * (1000 // mc._LLL_CHUNK) + [1000 % mc._LLL_CHUNK]
+    assert stacks == [mc._CHUNK, 1000 - mc._CHUNK] == [512, 488]
     assert len(profile) == 16
 
 
@@ -267,32 +277,31 @@ def test_measure_profile_does_not_depend_on_the_lll_chunk(monkeypatch, chunk, di
     w = WeightPair.unweighted(*dims)
     args = (["sub", "primed"], [0.05, 0.2], w, 10.0, 1000)
     want = measure_profile(*args, seed=4)
-    monkeypatch.setattr(mc, "_LLL_CHUNK", chunk)
+    monkeypatch.setattr(mc, "_CHUNK", chunk)
     assert measure_profile(*args, seed=4) == want
 
 
-def test_torus_chunks_cross_a_draw_block_unchanged(monkeypatch):
-    # a range past two draw blocks, ending in a short chunk: the same
-    # _LLL_CHUNK stacks as one substream per index, one draw per block
-    block = mc._DRAW_CHUNKS * mc._LLL_CHUNK
-    N = 2 * block + 300
+def test_torus_chunks_draw_each_chunk_once(monkeypatch):
+    # a range past two chunks, ending in a short one: the same rows as one
+    # substream per index, one torus_samples call per chunk
+    N = 2 * mc._CHUNK + 300
     draws = []
     draw = mc.torus_samples
     monkeypatch.setattr(mc, "torus_samples", lambda *args: draws.append(args[2:4]) or draw(*args))
     stacks = list(mc._torus_chunks(6, "measure", N, 1, 2))
-    assert draws == [(0, block), (block, 2 * block), (2 * block, N)]
-    assert [len(A) for A in stacks] == [mc._LLL_CHUNK] * (N // mc._LLL_CHUNK) + [N % mc._LLL_CHUNK]
+    assert draws == [(0, mc._CHUNK), (mc._CHUNK, 2 * mc._CHUNK), (2 * mc._CHUNK, N)]
+    assert [len(A) for A in stacks] == [mc._CHUNK, mc._CHUNK, 300]
     want = np.stack([sample_torus(substream(6, "measure", i), 1, 2) for i in range(N)])
     assert np.concatenate(stacks).tobytes() == want.tobytes()
 
 
 def test_measure_profile_d3_matches_a_per_sample_loop():
-    # N = 1000 leaves a last chunk of 1000 - 3 * 256 = 232 samples
+    # N = 1000 leaves a last chunk of 1000 - 512 = 488 samples
     w = WeightPair.unweighted(1, 2)
     dims = w.dims
     kinds, radii = [KIND_SUB, KIND_PRIMED], [0.08, 0.2]
     profile = measure_profile(kinds, radii, w, 10.0, 1000, seed=21)
-    assert 1000 % mc._LLL_CHUNK == 232
+    assert 1000 % mc._CHUNK == 488
     scale = np.exp(np.array([a * 10.0 for a in w.alpha] + [-b * 10.0 for b in w.beta]))
     counts = dict.fromkeys(profile, 0)
     for i in range(1000):
@@ -306,11 +315,11 @@ def test_measure_profile_d3_matches_a_per_sample_loop():
 
 
 def test_measure_profile_d2_matches_a_per_sample_loop():
-    # N = 1000 leaves a last chunk of 1000 - 3 * 256 = 232 samples
+    # N = 1000 leaves a last chunk of 1000 - 512 = 488 samples
     kinds = [KIND_SUB, KIND_PRIMED, KIND_THICK, KIND_THICK_PRIMED]
     radii = [0.08, 0.2]
     profile = measure_profile(kinds, radii, W11, 10.0, 1000, seed=22)
-    assert 1000 % mc._LLL_CHUNK == 232
+    assert 1000 % mc._CHUNK == 488
     counts = dict.fromkeys(profile, 0)
     for i in range(1000):
         ex = Exact2D.of(sample_torus(substream(22, "measure", i), 1, 1))
