@@ -34,29 +34,29 @@ from .errors import ValidationError
 from .lattice import WeightPair
 from .rate import RateFunction, clamp_rate
 
-# keys every subcommand takes: the run's own, dimensions, weights, psi and rate
-SHARED_KEYS = frozenset({
-    "subcommand", "seed", "threads", "out",
-    "dims.m", "dims.n", "weights.alpha", "weights.beta",
-    "psi.family", "psi.params", "psi.t0", "psi.knots", "psi.reduce",
-    "rate.source", "rate.value", "rate.gamma", "rate.gamma_prime", "rate.eta",
-})
+# keys every subcommand takes: the run's own and the dimensions (cfg.dims())
+SHARED_KEYS = frozenset({"subcommand", "seed", "threads", "out", "dims.m", "dims.n"})
 
-# the keys each subcommand's handler reads besides the shared ones
+# the keys of the cfg.weights(), cfg.psi() and cfg.rate() builders beyond the dimensions
+_WEIGHTS = frozenset({"weights.alpha", "weights.beta"})
+_PSI = frozenset({"psi.family", "psi.params", "psi.t0", "psi.knots", "psi.reduce"})
+_RATE = _PSI | {"rate.source", "rate.value", "rate.gamma", "rate.gamma_prime", "rate.eta"}
+
+# the keys each subcommand's handler reads besides the shared ones, its builders' included
 SUBCOMMAND_KEYS = {
-    "classify": frozenset({"series.horizons"}),
-    "dani": frozenset({"dani.s_max", "dani.s_step"}),
-    "check": frozenset({"A", "check.T", "check.classic", "check.oracle"}),
-    "measure": frozenset({
+    "classify": _PSI | {"series.horizons"},
+    "dani": _PSI | {"dani.s_max", "dani.s_step"},
+    "check": _WEIGHTS | _PSI | {"A", "check.T", "check.classic", "check.oracle"},
+    "measure": _WEIGHTS | {
         "measure.kinds", "measure.r_values", "measure.r_min", "measure.r_max", "measure.r_count",
         "measure.n", "measure.s_push", "fit.freeze_lambda",
-    }),
-    "orbit": frozenset({
+    },
+    "orbit": _WEIGHTS | _RATE | {
         "A", "ensemble",
         "orbit.mode", "orbit.k_min", "orbit.k_max", "orbit.a", "orbit.variant", "orbit.C_r",
-    }),
-    "disjoint": frozenset({"disjoint.r", "disjoint.samples"}),
-    "crossval": frozenset({"ensemble", "crossval.S", "crossval.s_step"}),
+    },
+    "disjoint": _WEIGHTS | {"disjoint.r", "disjoint.samples"},
+    "crossval": _WEIGHTS | _PSI | {"ensemble", "crossval.S", "crossval.s_step"},
 }
 
 # every key a run reads; the CLI refuses any other, and any key the

@@ -29,7 +29,6 @@ from .lattice import (
     apply_flow,
     flowed_lattices,
     lattice_from_matrix,
-    reduce_lattices,
 )
 from .mc import CoordinateRegion, sample_region_lattice
 from .parallel import indexed_map
@@ -130,7 +129,6 @@ def orbit_hit_series(
             )
         L = lattice_from_matrix(np.asarray(A, dtype=float), w.dims)
         flowed = flowed_lattices(L.basis, np.arange(k_lo, k_hi + 1, dtype=float), w)
-        reduce_lattices(flowed)
         hits[:] = thickened_hits(flowed, kind, radii.tolist(), w)
     constants = {"C_r": C_r, "omega1": w.omega1, "omega2": w.omega2, "a": a}
     return HitSeries(
@@ -287,7 +285,6 @@ def verify_disjointness(
         u = float(rng.uniform(0.0, 0.5))
         member = apply_flow(base, -u, w)  # lies in the thickened primed set
         flowed = flowed_lattices(member.basis, np.arange(1, J + 1, dtype=float), w)
-        reduce_lattices(flowed)
         for k, hit in enumerate(thickened_hits(flowed, spec.kind, [spec.r] * J, w), start=1):
             if hit:
                 report.violations.append(

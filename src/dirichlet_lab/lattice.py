@@ -2,16 +2,15 @@
 
 A lattice is stored as a d x d basis matrix with |det| = 1 (columns are
 basis vectors).  Enumeration of lattice points in an axis-aligned box is
-exact for d <= 6: the basis is LLL-reduced (once per lattice object; the
-reduction and its QR data are cached on it, or seeded for a whole list of
-lattices by one lockstep LLL), and the coefficient vectors inside the
-box's circumscribed ball are enumerated from the QR data level by level,
-breadth-first and for a whole list of lattices at once, with per-level
+exact for d <= 6: a list of lattices is reduced by one lockstep LLL into
+one stacked ReducedBasis (`reduce_lattices`), and the coefficient vectors
+inside the box's circumscribed ball are enumerated from its QR data level
+by level, breadth-first and for the whole stack at once, with per-level
 interval pruning and the same float operations, in the same order, as a
 scalar depth-first walk.  The box membership test (with open/closed
 endpoint flags and the boundary tolerance policy) makes the final call,
-row-wise.  `enumerate_in_box` and `has_nonzero_point` are the N = 1 forms
-of `enumerate_in_box_batch` and `has_nonzero_point_batch`.
+row-wise.  `enumerate_in_box` and `has_nonzero_point`, the N = 1 forms of
+`enumerate_in_box_batch` and `has_nonzero_point_batch`, reduce a 1-stack.
 
 Strict inequalities follow one policy everywhere (elementwise on arrays):
     value < bound  is evaluated as  value < bound - 1e-12 * max(1, |bound|).
@@ -21,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -155,22 +153,15 @@ class UnimodularLattice:
         """
         _check_unimodular(bases)
         bases.setflags(write=False)
-        lattices = []
-        for basis in bases:
-            L = object.__new__(cls)
-            L.__dict__.update(basis=basis, dims=dims)  # frozen: bypass __setattr__
-            lattices.append(L)
+        lattices = [object.__new__(cls) for _ in bases]
+        for L, basis in zip(lattices, bases):
+            object.__setattr__(L, "basis", basis)  # frozen: bypass __setattr__
+            object.__setattr__(L, "dims", dims)
         return lattices
 
     @property
     def d(self) -> int:
         return self.dims.d
-
-    @cached_property
-    def reduced(self) -> "ReducedBasis":
-        """LLL basis and its QR data, computed once per lattice on first use
-        unless `reduce_lattices` seeded it."""
-        return ReducedBasis.stack(lll_reduce(self.basis)[None])[0]
 
 
 def _off_unimodular(bases):
@@ -189,25 +180,30 @@ def _check_unimodular(bases) -> None:
         raise ValidationError(f"|det(basis)| = {det[off][0]} is not 1 within 1e-9")
 
 
-def reduce_lattices(lattices) -> None:
-    """Seed `reduced` on every lattice of a list from one lockstep LLL.
+def reduce_lattices(lattices) -> "ReducedBasis":
+    """The ReducedBasis stack of a nonempty list of lattices, from one lockstep LLL.
 
-    Each lattice caches exactly what its first use of `reduced` would
-    compute: the batch LLL and the stacked QR are bit-equal to their
-    per-matrix forms.
+    Row i is bit-equal to the reduction of lattice i alone: the batch LLL
+    and the stacked QR equal their per-matrix forms.  A list of mixed
+    dimensions raises ValidationError and d > 6 DimensionTooLarge, before
+    any reduction.
     """
-    if lattices:
-        B = lll_reduce_batch(np.stack([L.basis for L in lattices]))
-        for L, R in zip(lattices, ReducedBasis.stack(B)):
-            L.__dict__["reduced"] = R  # where cached_property keeps its value
+    dimensions = {L.d for L in lattices}
+    if len(dimensions) != 1:
+        raise ValidationError("need a nonempty list of lattices of one dimension")
+    if dimensions.pop() > MAX_EXACT_DIM:
+        raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
+    return ReducedBasis.stack(lll_reduce_batch(np.stack([L.basis for L in lattices])))
 
 
 @dataclass(frozen=True)
 class ReducedBasis:
-    """An LLL-reduced basis with its QR factors: B = Q diag(signs) T.
+    """LLL-reduced bases of a stack of lattices and their QR factors, B[i] = Q[i] diag(signs[i]) T[i].
 
-    `signs` makes T's diagonal nonnegative, so that the interval
-    arithmetic of `_enumerate_ball` has fixed signs.
+    B, Q and T are read-only (N, d, d) arrays and signs a read-only (N, d)
+    one that makes T's diagonals nonnegative, so that the interval arithmetic
+    of `_enumerate_balls` has fixed signs.  Rows (a slice or an index array)
+    index the sub-stack of those lattices.
     """
 
     B: np.ndarray
@@ -215,9 +211,13 @@ class ReducedBasis:
     T: np.ndarray
     signs: np.ndarray
 
+    def __post_init__(self):
+        for array in (self.B, self.Q, self.T, self.signs):
+            array.setflags(write=False)  # shared by every pass over the stack
+
     @classmethod
-    def stack(cls, B: np.ndarray) -> list:
-        """One ReducedBasis per LLL basis of an (N, d, d) stack.
+    def stack(cls, B: np.ndarray) -> "ReducedBasis":
+        """The QR data of an (N, d, d) stack of LLL bases.
 
         A stacked np.linalg.qr is bit-equal to per-matrix calls.  Raises
         BudgetExceeded when a reduced basis has drifted off |det| = 1: the
@@ -229,10 +229,13 @@ class ReducedBasis:
         Q, T = np.linalg.qr(B)
         signs = np.sign(np.diagonal(T, axis1=1, axis2=2))
         signs[signs == 0] = 1.0
-        T = signs[:, :, None] * T
-        for array in (B, Q, T, signs):
-            array.setflags(write=False)  # shared by every query on the lattice
-        return [cls(*parts) for parts in zip(B, Q, T, signs)]
+        return cls(B, Q, signs[:, :, None] * T, signs)
+
+    def __len__(self) -> int:
+        return len(self.B)
+
+    def __getitem__(self, rows) -> "ReducedBasis":
+        return ReducedBasis(self.B[rows], self.Q[rows], self.T[rows], self.signs[rows])
 
 
 def standard_lattice(dims: DimensionParams) -> UnimodularLattice:
@@ -496,7 +499,7 @@ def lll_reduce_batch(bases: np.ndarray, delta: float = 0.99) -> np.ndarray:
 
 
 def _enumerate_balls(reduced, center, radius: float, guard: int, live=None):
-    """Integer coefficient vectors c with ||R.B c - center||_2 <= radius, for every R of a list.
+    """Integer coefficient vectors c with ||B c - center||_2 <= radius, for every B of a ReducedBasis.
 
     Level by level over all the lattices at once: at level j every live node
     (a lattice and its coefficients c_{d-1}, ..., c_{j+1}) gets its range of
@@ -515,8 +518,8 @@ def _enumerate_balls(reduced, center, radius: float, guard: int, live=None):
     clear `live[i]` (a boolean array over the lattices) between blocks;
     lattice i is then expanded no further.
     """
-    T = np.stack([R.T for R in reduced])
-    y = np.stack([R.signs * (R.Q.T @ center) for R in reduced])
+    T = reduced.T
+    y = reduced.signs * (np.swapaxes(reduced.Q, 1, 2) @ center)  # row i bit-equal to Q[i].T @ center
     budget2 = radius * radius * (1.0 + 1e-9) + 1e-12
     N, d, _ = T.shape
     seen = np.zeros(N)
@@ -574,23 +577,22 @@ def lattices_per_pass(box: Box) -> int:
 
 
 def _enumerate_ball(R: ReducedBasis, center: np.ndarray, radius: float, guard: int):
-    """The N = 1 form of _enumerate_balls: int64 blocks of one lattice's coefficient rows."""
-    for C, _ in _enumerate_balls([R], center, radius, guard):
+    """The N = 1 form of _enumerate_balls: int64 blocks of a 1-stack's coefficient rows."""
+    for C, _ in _enumerate_balls(R, center, radius, guard):
         yield C
 
 
 def _ball_points(reduced, center, radius: float, cap: int, live=None):
     """(V, owner) blocks of the nonzero lattice points within `radius` of `center`.
 
-    Row i of V is R.B @ c_i for the reduced basis R = reduced[owner[i]]: a
+    Row i of V is B @ c_i for the reduced basis B = reduced.B[owner[i]]: a
     stacked matrix-vector product runs the single product's kernel, so every
     row is bit-identical to it (C @ B.T runs another kernel and rounds
     differently).
     """
-    B = np.stack([R.B for R in reduced])
     guard = max(1_000_000, 50 * cap)
     for C, owner in _enumerate_balls(reduced, center, radius, guard, live):
-        V = np.matmul(B[owner], C.astype(float)[:, :, None])[:, :, 0]
+        V = np.matmul(reduced.B[owner], C.astype(float)[:, :, None])[:, :, 0]
         nonzero = np.abs(V[:, 0]) >= 1e-12
         for k in range(1, V.shape[1]):
             nonzero |= np.abs(V[:, k]) >= 1e-12
@@ -598,66 +600,59 @@ def _ball_points(reduced, center, radius: float, cap: int, live=None):
             yield V[nonzero], owner[nonzero]
 
 
-def _check_batch(lattices, box: Box, cap: int):
-    if any(L.d > MAX_EXACT_DIM for L in lattices):
-        raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    if any(box.d != L.d for L in lattices):
+def _check_batch(reduced: ReducedBasis, box: Box, cap: int):
+    if box.d != reduced.B.shape[-1]:
         raise ValidationError("box dimension does not match lattice")
     if cap < 1:
         raise ValidationError("cap must be >= 1")
 
 
-def enumerate_in_box_batch(lattices, box: Box, cap: int = 100_000):
-    """All nonzero points in the box of every lattice of a list, exactly.
+def enumerate_in_box_batch(reduced: ReducedBasis, box: Box, cap: int = 100_000):
+    """All nonzero points in the box of every lattice of a ReducedBasis stack, exactly.
 
     Returns (points, owner): points is a (k, d) array, owner[i] the index of
     the lattice point i belongs to, and each lattice's points come in the
     order enumerate_in_box gives them.  Raises CapExceeded when more than
-    `cap` points of one lattice qualify (a degenerate query) and
-    DimensionTooLarge for d > 6.
+    `cap` points of one lattice qualify (a degenerate query).
     """
-    _check_batch(lattices, box, cap)
-    d = box.d
-    points, owners = [np.zeros((0, d))], [np.zeros(0, dtype=np.intp)]
-    found = np.zeros(len(lattices), dtype=np.int64)
-    if lattices:
-        reduced = [L.reduced for L in lattices]
-        for V, owner in _ball_points(reduced, box.center(), box.circumradius(), cap):
-            inside = box.contains_rows(V)
-            V, owner = V[inside], owner[inside]
-            found += np.bincount(owner, minlength=len(lattices))
-            if np.any(found > cap):
-                raise CapExceeded(f"more than cap={cap} lattice points in box")
-            points.append(V)
-            owners.append(owner)
+    _check_batch(reduced, box, cap)
+    points, owners = [np.zeros((0, box.d))], [np.zeros(0, dtype=np.intp)]
+    found = np.zeros(len(reduced), dtype=np.int64)
+    for V, owner in _ball_points(reduced, box.center(), box.circumradius(), cap):
+        inside = box.contains_rows(V)
+        V, owner = V[inside], owner[inside]
+        found += np.bincount(owner, minlength=len(reduced))
+        if np.any(found > cap):
+            raise CapExceeded(f"more than cap={cap} lattice points in box")
+        points.append(V)
+        owners.append(owner)
     return np.concatenate(points), np.concatenate(owners)
 
 
 def enumerate_in_box(L: UnimodularLattice, box: Box, cap: int = 100_000):
     """All nonzero lattice points in the box, exactly: the N = 1 form of enumerate_in_box_batch.
 
-    Returns an array of shape (k, d).
+    Returns an array of shape (k, d).  Raises DimensionTooLarge for d > 6.
     """
-    return enumerate_in_box_batch([L], box, cap)[0]
+    return enumerate_in_box_batch(reduce_lattices([L]), box, cap)[0]
 
 
-def has_nonzero_point_batch(lattices, box: Box, cap: int = 100_000) -> np.ndarray:
-    """For every lattice of a list, whether some nonzero point lies in the box (a bool array).
+def has_nonzero_point_batch(reduced: ReducedBasis, box: Box, cap: int = 100_000) -> np.ndarray:
+    """For every lattice of a ReducedBasis stack, whether some nonzero point
+    lies in the box (a bool array).
 
     A lattice is expanded no further once a point of it is found.
     """
-    _check_batch(lattices, box, cap)
-    live = np.ones(len(lattices), dtype=bool)
-    if lattices:
-        reduced = [L.reduced for L in lattices]
-        for V, owner in _ball_points(reduced, box.center(), box.circumradius(), cap, live):
-            live[owner[box.contains_rows(V)]] = False
+    _check_batch(reduced, box, cap)
+    live = np.ones(len(reduced), dtype=bool)
+    for V, owner in _ball_points(reduced, box.center(), box.circumradius(), cap, live):
+        live[owner[box.contains_rows(V)]] = False
     return ~live
 
 
 def has_nonzero_point(L: UnimodularLattice, box: Box, cap: int = 100_000) -> bool:
     """True iff some nonzero lattice point lies in the box: the N = 1 form of has_nonzero_point_batch."""
-    return bool(has_nonzero_point_batch([L], box, cap)[0])
+    return bool(has_nonzero_point_batch(reduce_lattices([L]), box, cap)[0])
 
 
 def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
@@ -667,12 +662,11 @@ def shortest_sup_norm(L: UnimodularLattice, cap: int = 200_000) -> float:
     taken <= 1 after reduction only for nice bases, so the search cube is
     the bound itself, shrunk to the minimum over all points found inside.
     """
-    if L.d > MAX_EXACT_DIM:
-        raise DimensionTooLarge(f"exact enumeration limited to d <= {MAX_EXACT_DIM}")
-    bound = float(np.min(np.max(np.abs(L.reduced.B), axis=0)))
+    R = reduce_lattices([L])
+    bound = float(np.min(np.max(np.abs(R.B[0]), axis=0)))
     box = Box.closed_cube(bound * (1.0 + 1e-9), L.d)
     best = bound
-    for V, _ in _ball_points([L.reduced], box.center(), box.circumradius(), cap):
+    for V, _ in _ball_points(R, box.center(), box.circumradius(), cap):
         best = min(best, float(np.max(np.abs(V), axis=1).min()))
     return best
 

@@ -13,8 +13,8 @@ _CHUNK indices is the unit of work from draw to count: one call of
 rng.torus_samples, whose numpy Philox kernel makes row i bit-equal to
 sample_torus(substream(seed, label, i), m, n) without building a
 generator, draws it.  At d >= 3 the chunk is pushed as one stack
-(lattice.flowed_lattices) and reduced by one lockstep LLL; at m = n = 1
-it runs one lockstep Euclid ladder in int64 arrays
+(lattice.flowed_lattices), which its table reduces by one lockstep LLL; at
+m = n = 1 it runs one lockstep Euclid ladder in int64 arrays
 (exact2d.membership_profiles), where every value that decides a count comes
 from math.log.  Both answer a chunk as one table of targets.profile_keys
 columns by sample rows, and the estimators sum its columns.
@@ -31,16 +31,16 @@ import numpy as np
 from .approx import DimensionParams
 from .errors import DomainError, ValidationError
 from .exact2d import membership_profiles as exact_profiles
-from .lattice import WeightPair, flowed_lattices, matrix_bases, reduce_lattices
+from .lattice import WeightPair, flowed_lattices, matrix_bases
 from .rng import substream, torus_samples
 from .targets import KIND_THICK_PRIMED, TargetSpec, membership_profiles, profile_keys
 
 _Z95 = 1.959963984540054
-# samples drawn, pushed, reduced (one lockstep LLL at d >= 3, one lockstep
-# Euclid ladder at d = 2) and counted together: enough to spread the fixed
-# cost of a draw call (the Philox kernel takes about 0.19 ms for 1 row and
-# 0.39 ms for 1 024 rows on a 2-core Xeon) and of a pass, few enough that a
-# chunk's arrays stay small
+# samples drawn, pushed and answered by one table, which reduces them together
+# (one lockstep LLL at d >= 3, one lockstep Euclid ladder at d = 2): enough to
+# spread the fixed cost of a draw call (the Philox kernel takes about 0.19 ms
+# for 1 row and 0.39 ms for 1 024 rows on a 2-core Xeon) and of a pass, few
+# enough that a chunk's arrays stay small
 _CHUNK = 512
 
 # zeta(2)..zeta(6); enumeration is capped at d = 6 anyway
@@ -115,9 +115,9 @@ def measure_profile(
     ladder over the chunk's exact (num, den) gives every Delta, bit-equal to
     Exact2D.delta_flowed, and the slab is enumerated on the ladders of the
     samples with Delta <= max r.  Otherwise the float path pushes the chunk
-    as one stack, reduces it with one lockstep LLL and answers it with one
-    targets.membership_profiles table, whose enumerations and kernel calls
-    each cover many lattices at once.
+    as one stack and answers it with one targets.membership_profiles table,
+    which reduces the chunk by one lockstep LLL and whose enumerations and
+    kernel calls each cover many lattices at once.
     """
     if s_push < 5.0:
         raise ValidationError("s_push must be >= 5 (push-time bias guard)")
@@ -135,7 +135,6 @@ def measure_profile(
             _, hits = exact_profiles(A, s_push, kinds, r_values)
         else:
             chunk = flowed_lattices(matrix_bases(A), s_push, w)
-            reduce_lattices(chunk)
             _, hits = membership_profiles(chunk, kinds, r_values, w)
         counts += hits.sum(axis=0)
     return {

@@ -23,11 +23,11 @@ lattices.  Since it reads nothing but log-moduli, the float path here
 (kind, r) off that one point set: the cubes, slabs and thickening windows
 are all nested in one enumerated box (`_candidate_box`: each base target's
 bounds, a contracting coordinate's widened by the flow over its window).
-It answers a list of lattices as
-one table of `profile_keys` columns by lattice rows, as exact2d's d = 2
-table does, a pass at a time (`lattice.lattices_per_pass`), each pass
-with batched enumerations of all its lattices; `membership_profile` reads
-its row 0, and `thickened_hits` answers one thickened target per lattice.
+It answers a list of lattices as one table of `profile_keys` columns by
+lattice rows, as exact2d's d = 2 table does: one lockstep LLL reduces the
+list (`lattice.reduce_lattices`), and each pass batch-enumerates a slice of
+the reduced stack (`lattice.lattices_per_pass`).  `membership_profile`
+reads its row 0, and `thickened_hits` answers one target per lattice.
 """
 
 from __future__ import annotations
@@ -48,6 +48,7 @@ from .lattice import (
     has_nonzero_point_batch,
     lattices_per_pass,
     r_box,
+    reduce_lattices,
 )
 
 KIND_SUB = "sub"
@@ -231,8 +232,8 @@ def _query(spec: TargetSpec):
     return spec.r, spec.base_kind == KIND_PRIMED, 0.0, spec.window
 
 
-def _check_weights(L: UnimodularLattice, w: WeightPair):
-    if (w.m, w.n) != (L.dims.m, L.dims.n):
+def _check_weights(lattices, w: WeightPair):
+    if any((w.m, w.n) != (L.dims.m, L.dims.n) for L in lattices):
         raise ValidationError("target weights do not match lattice dims")
 
 
@@ -240,11 +241,12 @@ def thickened_witness_intervals(L: UnimodularLattice, spec: TargetSpec):
     """s-subsets of [0, window) on which g_s L lies in the base target:
     the N = 1 form of _witness_table."""
     w = spec.weights
-    return _witness_table([L], [[spec]], w, _candidate_box([_query(spec)], w))[2][0][0]
+    _check_weights([L], w)
+    return _witness_table(reduce_lattices([L]), [[spec]], w, _candidate_box([_query(spec)], w))[2][0][0]
 
 
-def _witness_table(lattices, table, w: WeightPair, box: Box):
-    """Interval lists of every thickened spec table[i][t] of lattice i.
+def _witness_table(reduced, table, w: WeightPair, box: Box):
+    """Interval lists of every thickened spec table[i][t] of lattice i of a ReducedBasis stack.
 
     Every column t holds one kind.  The box, which holds the _candidate_box
     of every column, is enumerated for all the lattices at once, and a
@@ -253,9 +255,7 @@ def _witness_table(lattices, table, w: WeightPair, box: Box):
     whole table, each (lattice, spec) a query.  Returns (points, owner,
     found): the enumerated points, the lattice of each, and found[i][t].
     """
-    for L in lattices:
-        _check_weights(L, w)
-    points, owner = enumerate_in_box_batch(lattices, box, cap=_CAP)
+    points, owner = enumerate_in_box_batch(reduced, box, cap=_CAP)
     width = len(table[0])
     queries = [_query(spec) for specs in table for spec in specs]
     columns = [_candidate_box(set(queries[t::width]), w) for t in range(width)]
@@ -274,20 +274,24 @@ def _witness_table(lattices, table, w: WeightPair, box: Box):
 def thickened_hits(lattices, kind: str, radii, w: WeightPair) -> list:
     """Membership of lattice i in the thickened target (kind, radii[i]), for every i.
 
-    The passes hold lattices_per_pass lattices of the _candidate_box of
-    every radius, and each enumerates the _candidate_box of its own radii
-    (one _witness_table call); every answer equals in_target's.
+    One lockstep LLL reduces all the lattices.  A pass holds lattices_per_pass
+    of them for the _candidate_box of every radius and enumerates the
+    _candidate_box of its own radii (one _witness_table call); every answer equals in_target's.
     """
     if kind not in _WINDOWS:
         raise ValidationError(f"{kind!r} is not a thickened kind")
+    if len(radii) != len(lattices):
+        raise ValidationError(f"{len(radii)} radii for {len(lattices)} lattices; need one per lattice")
     specs = [TargetSpec(kind, float(r), w) for r in radii]
     hits = []
     if lattices:
+        _check_weights(lattices, w)
+        reduced = reduce_lattices(lattices)
         size = lattices_per_pass(_candidate_box({_query(spec) for spec in specs}, w))
         for start in range(0, len(lattices), size):
             part = specs[start : start + size]
             box = _candidate_box({_query(spec) for spec in part}, w)
-            _, _, found = _witness_table(lattices[start : start + size], [[spec] for spec in part], w, box)
+            _, _, found = _witness_table(reduced[start : start + size], [[spec] for spec in part], w, box)
             hits += [bool(row[0]) for row in found]
     return hits
 
@@ -304,7 +308,7 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
     """Exact membership of every lattice of a list for every (kind, r), as one table.
 
     Returns the profile_keys and one bool row per lattice, one column per
-    key.  The lattices are answered in passes of
+    key.  One lockstep LLL reduces the lattices, and a pass answers a slice of
     lattices_per_pass of the largest box a pass enumerates.  A pass makes
     batched enumerations, one point evaluation per enumerated block, one
     `contains_rows` pass per cube or slab over all of its rows, and at most
@@ -338,8 +342,11 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
         half = max(abs(x) for box in cubes + slabs for x in box.lower + box.upper)
         cover = Box.closed_cube(half, d)  # holds every open cube and slab
         size = lattices_per_pass(cover)
+    if thick:
+        _check_weights(lattices, w)
+    reduced = reduce_lattices(lattices)
     for start in range(0, len(lattices), size):
-        part = lattices[start : start + size]
+        part = reduced[start : start + size]
         n = len(part)
         rows = hits[start : start + n]
         points = owner = None
@@ -354,9 +361,9 @@ def membership_profiles(lattices, kinds, r_values, w: WeightPair | None):
                 in_cube[:, probed] = True  # the cube at r_max lies in every other
                 rest = np.flatnonzero(~probed)
                 if rest.size and len(radii) == 1 and slabs:
-                    in_slab[0, rest] = has_nonzero_point_batch([part[i] for i in rest], slabs[0], cap=_CAP)
+                    in_slab[0, rest] = has_nonzero_point_batch(part[rest], slabs[0], cap=_CAP)
                 elif rest.size and len(radii) > 1:
-                    points, owner = enumerate_in_box_batch([part[i] for i in rest], cover, cap=_CAP)
+                    points, owner = enumerate_in_box_batch(part[rest], cover, cap=_CAP)
                     owner = rest[owner]
             if points is not None:
                 for hit, boxes in ((in_cube, cubes), (in_slab, slabs)):
@@ -389,7 +396,7 @@ def in_target_grid_oracle(L: UnimodularLattice, spec: TargetSpec, step: float = 
     if not spec.thick:
         return in_target(L, spec)
     w = spec.weights
-    _check_weights(L, w)
+    _check_weights([L], w)
     window = spec.window
     candidates = enumerate_in_box(L, _candidate_cube(window, L.d), cap=_CAP)
     grid = np.arange(0.0, window, step)

@@ -395,7 +395,25 @@ def test_cli_refuses_a_key_only_another_subcommand_reads(tmp_path, capsys):
     assert "check does not read config key 'orbit.a'" in capsys.readouterr().err
     assert not out.exists()
     # a shared key is taken by every subcommand
-    assert cli_main(["check", "--A", "0.25", "--classic", "--set", "rate.eta=0.5", "--out", str(out)]) == 0
+    assert cli_main(["check", "--A", "0.25", "--classic", "--set", "dims.n=1", "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["measure", "--N", "1000", "--set", "psi.family=bogus"], "psi.family"),
+        (["disjoint", "--samples", "1", "--set", "rate.source=nonsense"], "rate.source"),
+        (["classify", "--set", "weights.alpha=7", "--set", "psi.family=log_drift", "--set", "psi.params=1,2"], "weights.alpha"),
+        (["check", "--A", "0.3", "--classic", "--set", "rate.value=0.9"], "rate.value"),
+        (["dani", "--set", "psi.family=log_drift", "--set", "psi.params=1,2", "--set", "rate.eta=0.5"], "rate.eta"),
+    ],
+)
+def test_cli_refuses_a_builder_key_the_subcommand_does_not_read(tmp_path, capsys, argv, key):
+    # psi, rate and weights keys were taken, and ignored, by every subcommand
+    out = tmp_path / "out"
+    assert cli_main([*argv, "--out", str(out)]) == 1
+    assert f"{argv[0]} does not read config key {key!r}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_refuses_a_config_file_key_no_run_reads(tmp_path, capsys):

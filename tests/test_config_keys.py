@@ -6,7 +6,9 @@ a string literal is passed to an ExperimentConfig accessor (`get*`,
 `.entries`.  An ExperimentConfig is named `cfg`, or `self` inside
 config.py.  Every flag's dest is a key too.  Per subcommand, the keys its
 handler reads beyond config.SHARED_KEYS are its config.SUBCOMMAND_KEYS,
-and its flags write only keys it takes.
+and its flags write only keys it takes; a handler's call of a builder
+(`cfg.dims()`, `cfg.weights()`, `cfg.psi()`, `cfg.rate()`) reads every key
+that builder reads in config.py, through the builders it calls.
 """
 
 import argparse
@@ -18,10 +20,15 @@ from dirichlet_lab.config import KEYS, SHARED_KEYS, SUBCOMMAND_KEYS
 
 _PACKAGE = Path(__file__).resolve().parents[1] / "src" / "dirichlet_lab"
 _ACCESSORS = {"get", "get_int", "get_float", "get_bool", "get_floats", "get_ints", "require", "matrix"}
+_BUILDERS = ("dims", "weights", "psi", "rate")
 
 
-def _keys_read(source: str, receivers=("cfg",)) -> set:
-    """The string keys that source reads from an ExperimentConfig named by receivers."""
+def _keys_read(source: str, receivers=("cfg",), builders=None) -> set:
+    """The string keys that source reads from an ExperimentConfig named by receivers.
+
+    With builders (a builder name -> keys map), a call of a builder on the
+    config reads that builder's keys too.
+    """
 
     def config(node):
         return isinstance(node, ast.Name) and node.id in receivers
@@ -34,9 +41,10 @@ def _keys_read(source: str, receivers=("cfg",)) -> set:
 
     keys = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args:
-            if node.func.attr in _ACCESSORS and config(node.func.value):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and config(node.func.value):
+            if node.func.attr in _ACCESSORS and node.args:
                 keys.add(literal(node.args[0]))
+            keys |= (builders or {}).get(node.func.attr, set())
         elif isinstance(node, ast.Compare) and isinstance(node.ops[0], ast.In):
             if entries(node.comparators[0]):
                 keys.add(literal(node.left))
@@ -44,6 +52,26 @@ def _keys_read(source: str, receivers=("cfg",)) -> set:
             keys.add(literal(node.slice))
     keys.discard(None)
     return keys
+
+
+def _builder_keys() -> dict:
+    """The keys each ExperimentConfig builder reads, with those of the builders it calls."""
+    (config_class,) = [
+        node for node in ast.parse((_PACKAGE / "config.py").read_text()).body
+        if isinstance(node, ast.ClassDef) and node.name == "ExperimentConfig"
+    ]
+    sources = {
+        node.name: ast.unparse(node)
+        for node in config_class.body
+        if isinstance(node, ast.FunctionDef) and node.name in _BUILDERS
+    }
+    assert sorted(sources) == sorted(_BUILDERS)
+    keys = {}
+    while True:  # until the keys of builders that call builders settle
+        found = {name: _keys_read(source, ("self",), keys) for name, source in sources.items()}
+        if found == keys:
+            return keys
+        keys = found
 
 
 def _package_keys() -> set:
@@ -68,6 +96,17 @@ def test_the_check_finds_every_form_of_read():
     assert _keys_read(source) == {"a.n", "A", "a.x", "a.y"}
 
 
+def test_the_check_follows_builders():
+    builders = _builder_keys()
+    assert builders["dims"] == {"dims.m", "dims.n"}
+    assert builders["weights"] == {"dims.m", "dims.n", "weights.alpha", "weights.beta"}
+    assert {"psi.family", "psi.knots", "psi.reduce"} <= builders["psi"]
+    assert builders["psi"] | {"rate.source", "rate.eta"} <= builders["rate"]  # rate builds a psi
+    source = "def run(cfg, other):\n    cfg.rate()\n    other.weights()\n"
+    assert _keys_read(source, builders=builders) == builders["rate"]
+    assert _keys_read(source) == set()
+
+
 def test_every_key_read_is_a_known_key_and_every_known_key_is_read():
     read = _package_keys()
     assert sorted(read - KEYS) == []
@@ -88,9 +127,10 @@ def test_each_subcommand_takes_the_keys_its_handler_reads():
         for node in ast.parse((_PACKAGE / "cli.py").read_text()).body
         if isinstance(node, ast.FunctionDef)
     }
+    builders = _builder_keys()
     assert set(SUBCOMMAND_KEYS) == set(_HANDLERS)
     for sub, handler in _HANDLERS.items():
-        assert _keys_read(functions[handler.__name__]) - SHARED_KEYS == SUBCOMMAND_KEYS[sub], sub
+        assert _keys_read(functions[handler.__name__], builders=builders) - SHARED_KEYS == SUBCOMMAND_KEYS[sub], sub
 
 
 def _subparsers(parser):

@@ -202,7 +202,6 @@ def test_float_orbit_and_disjointness_hits_equal_in_target(monkeypatch):
     # the float orbit series and verify_disjointness answer their flowed lists
     # in batched passes; every hit equals the lattice's own in_target answer
     from dirichlet_lab import experiments
-    from dirichlet_lab.lattice import UnimodularLattice
 
     calls = []
     batched = experiments.thickened_hits
@@ -228,6 +227,42 @@ def test_float_orbit_and_disjointness_hits_equal_in_target(monkeypatch):
     for lattices, kind, radii, w, hits in calls:
         assert len(hits) == len(lattices) == len(radii)
         for L, r, hit in zip(lattices, radii, hits):
-            assert hit == in_target(UnimodularLattice(L.basis, L.dims), TargetSpec(kind, r, w))
+            assert hit == in_target(L, TargetSpec(kind, r, w))
             answers.add(hit)
     assert len(calls) == 1 + 8 + 40 and answers == {False, True}
+
+
+def test_each_table_reduces_all_its_lattices_by_one_lll_call(monkeypatch):
+    # the d >= 3 tables reduce the lattices they are given themselves: one
+    # lockstep LLL over all of them, whatever passes the table then makes
+    from dirichlet_lab import lattice, mc
+    from dirichlet_lab.lattice import flowed_lattices, matrix_bases
+    from dirichlet_lab.rng import torus_samples
+    from dirichlet_lab.targets import KIND_SUB, KIND_THICK, membership_profiles, thickened_hits
+
+    sizes = []
+    original = lattice.lll_reduce_batch
+    monkeypatch.setattr(lattice, "lll_reduce_batch", lambda B: sizes.append(len(B)) or original(B))
+    w12 = WeightPair.unweighted(1, 2)
+    lattices = flowed_lattices(matrix_bases(torus_samples(96, "one-lll", 0, 600, 1, 2)), 8.0, w12)
+    membership_profiles(lattices, [KIND_SUB, KIND_PRIMED, KIND_THICK], [0.05, 0.2], w12)
+    assert sizes == [600]
+    sizes.clear()
+    membership_profiles(lattices, [KIND_SUB, KIND_PRIMED], [0.05, 0.2], w12)
+    assert sizes == [600]
+    sizes.clear()
+    thickened_hits(lattices, KIND_THICK, [0.2] * 600, w12)
+    assert sizes == [600]
+    sizes.clear()
+    A12 = sample_torus(substream(95, "worbit-12", 0), 1, 2)
+    rate12 = RateFunction.constant(0.3, DimensionParams(1, 2), s0=1.0)
+    orbit_hit_series(A12, rate12, VARIANT_NDI, (1, 14), w12, a=0.9)
+    assert sizes == [14]
+    sizes.clear()
+    # construct_primed_lattice checks each draw with in_target (a 1-stack);
+    # the J flowed translates of the sample then take one call
+    report = verify_disjointness(math.exp(-8.0), D11, W11, 1, seed=77)
+    assert sizes[-1] == report.J and sizes[:-1] == [1] * (len(sizes) - 1)
+    sizes.clear()
+    mc.measure_profile([KIND_SUB, KIND_PRIMED], [0.1], w12, 8.0, 1000, seed=3)
+    assert sizes == [mc._CHUNK, 1000 - mc._CHUNK]

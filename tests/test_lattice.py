@@ -309,15 +309,18 @@ def test_lll_iteration_cap_raises(monkeypatch):
 
 
 def test_reduction_is_computed_once_per_lattice(monkeypatch):
-    calls = []
-    original = lattice.lll_reduce
-    monkeypatch.setattr(lattice, "lll_reduce", lambda B: calls.append(1) or original(B))
+    # each N = 1 query reduces its lattice by one lockstep LLL of a 1-stack;
+    # nothing is kept on the lattice between queries
+    sizes = []
+    original = lattice.lll_reduce_batch
+    monkeypatch.setattr(lattice, "lll_reduce_batch", lambda B: sizes.append(len(B)) or original(B))
     L = random_unimodular(DimensionParams(2, 1), substream(10, "once", 0))
     shortest_sup_norm(L)
     enumerate_in_box(L, Box.closed_cube(1.5, 3))
     assert lattice.has_nonzero_point(L, Box.open_cube(1.5, 3))
-    assert len(calls) == 1
-    assert np.array_equal(L.reduced.B, original(L.basis))
+    assert sizes == [1, 1, 1]
+    assert np.array_equal(lattice.reduce_lattices([L]).B[0], original(L.basis[None])[0])
+    assert not hasattr(L, "reduced")
 
 
 def _lll_reference(basis, delta=0.99):
@@ -482,16 +485,26 @@ def test_batch_lll_cap_raises_and_never_returns_a_partial_stack(monkeypatch):
     assert np.array_equal(lattice.lll_reduce_batch(bases), full)
 
 
-def test_reduce_lattices_seeds_what_first_use_computes():
+def test_reduce_lattices_rows_equal_single_reductions():
+    # row i of the stack is bit-equal to the 1-stack of lattice i, and the
+    # stack and its sub-stacks (a slice, an index array) are read-only
     dims = DimensionParams(1, 2)
-    bases = _flowed_bases(1, 2, 10.0, 30, "seed")
-    seeded = [UnimodularLattice(b, dims) for b in bases]
-    lattice.reduce_lattices(seeded)
-    for b, L in zip(bases, seeded):
-        alone = UnimodularLattice(b, dims).reduced
+    lattices = [UnimodularLattice(b, dims) for b in _flowed_bases(1, 2, 10.0, 30, "seed")]
+    stack = lattice.reduce_lattices(lattices)
+    assert len(stack) == 30 and stack.B.shape == stack.Q.shape == stack.T.shape == (30, 3, 3)
+    assert stack.signs.shape == (30, 3)
+    for i, L in enumerate(lattices):
+        alone = lattice.reduce_lattices([L])
         for name in ("B", "Q", "T", "signs"):
-            assert np.array_equal(getattr(L.reduced, name), getattr(alone, name)), name
-            assert not getattr(L.reduced, name).flags.writeable
+            assert np.array_equal(getattr(stack, name)[i], getattr(alone, name)[0]), name
+    with pytest.raises(ValidationError):
+        lattice.reduce_lattices([])
+    rows = np.array([3, 0, 17])
+    for part, index in ((stack, slice(None)), (stack[5:9], slice(5, 9)), (stack[rows], rows)):
+        for name in ("B", "Q", "T", "signs"):
+            array = getattr(part, name)
+            assert not array.flags.writeable, name
+            assert np.array_equal(array, getattr(stack, name)[index]), name
 
 
 def test_reduced_basis_refuses_a_basis_off_det_one():
@@ -500,10 +513,11 @@ def test_reduced_basis_refuses_a_basis_off_det_one():
 
 
 def _enumerate_ball_scalar(R, center, radius, guard):
-    """Reference walk: the depth-first scalar enumeration, one coefficient tuple per leaf."""
-    d = R.B.shape[1]
-    T = R.T
-    y = R.signs * (R.Q.T @ center)
+    """Reference walk: the depth-first scalar enumeration of a 1-stack's
+    lattice, one coefficient tuple per leaf."""
+    d = R.B.shape[-1]
+    T = R.T[0]
+    y = R.signs[0] * (R.Q[0].T @ center)
     budget2 = radius * radius * (1.0 + 1e-9) + 1e-12
 
     c = np.zeros(d, dtype=np.int64)
@@ -592,6 +606,11 @@ def _stacked_ball_cases():
         yield ["Z^d empty", "random empty"], lattices, np.full(d, 0.5), 1e-3
 
 
+def _one_stacks(reduced):
+    """The 1-stack of every lattice of a ReducedBasis."""
+    return [reduced[i : i + 1] for i in range(len(reduced))]
+
+
 def _rows_by_owner(blocks, count):
     """The rows of a stacked walk's (C, owner) blocks, split by lattice."""
     rows = [[] for _ in range(count)]
@@ -607,9 +626,9 @@ def test_block_ball_walk_matches_scalar_reference():
     # one stacked walk per (d, center, radius) equals the scalar walk lattice by lattice
     dims_seen, empty = set(), 0
     for labels, lattices, center, radius in _stacked_ball_cases():
-        reduced = [L.reduced for L in lattices]
+        reduced = lattice.reduce_lattices(lattices)
         blocks = list(lattice._enumerate_balls(reduced, center, radius, 10**7))
-        for label, R, rows in zip(labels, reduced, _rows_by_owner(blocks, len(reduced))):
+        for label, R, rows in zip(labels, _one_stacks(reduced), _rows_by_owner(blocks, len(reduced))):
             assert rows == list(_enumerate_ball_scalar(R, center, radius, 10**7)), label
             empty += not rows
         dims_seen.add(lattices[0].d)
@@ -621,7 +640,7 @@ def test_block_ball_walk_splits_a_long_innermost_range():
     # the N = 1 form yields it in several blocks, in the scalar walk's order
     dims = DimensionParams(1, 1)
     L = apply_flow(lattice_from_matrix(np.zeros((1, 1)), dims), 10.0, WeightPair.unweighted(1, 1))
-    R = L.reduced
+    R = lattice.reduce_lattices([L])
     blocks = list(lattice._enumerate_ball(R, np.zeros(2), 1.0, 10**7))
     assert len(blocks) > 1 and all(len(b) <= lattice._PASS_ROWS for b in blocks)
     rows, _ = _rows_until_cap(blocks)
@@ -642,9 +661,9 @@ def test_block_ball_walk_guard_matches_scalar_reference(guard):
     ]
     trips = clean = 0
     for lattices, center, radius in stacks:
-        reduced = [L.reduced for L in lattices]
-        tripped = [_rows_until_cap(_enumerate_ball_scalar(R, center, radius, guard))[1] for R in reduced]
-        for R, scalar_tripped in zip(reduced, tripped):
+        reduced = lattice.reduce_lattices(lattices)
+        tripped = [_rows_until_cap(_enumerate_ball_scalar(R, center, radius, guard))[1] for R in _one_stacks(reduced)]
+        for R, scalar_tripped in zip(_one_stacks(reduced), tripped):
             rows, block_tripped = _rows_until_cap(lattice._enumerate_ball(R, center, radius, guard))
             assert block_tripped == scalar_tripped
             if not block_tripped:
@@ -662,16 +681,16 @@ def test_block_ball_walk_guard_matches_scalar_reference(guard):
 
 def test_stacked_points_equal_single_products():
     for labels, lattices, center, radius in _stacked_ball_cases():
-        reduced = [L.reduced for L in lattices]
+        reduced = lattice.reduce_lattices(lattices)
         expected = [
             [
                 v
-                for v in (R.B @ np.array(c, dtype=float) for c in _enumerate_ball_scalar(R, center, radius, 10**7))
+                for v in (R.B[0] @ np.array(c, dtype=float) for c in _enumerate_ball_scalar(R, center, radius, 10**7))
                 if not all(abs(x) < 1e-12 for x in v)
             ]
-            for R in reduced
+            for R in _one_stacks(reduced)
         ]
-        got = [[] for _ in reduced]
+        got = [[] for _ in lattices]
         for V, owner in lattice._ball_points(reduced, center, radius, 100_000):
             for v, o in zip(V, owner.tolist()):
                 got[o].append(v)
@@ -688,20 +707,19 @@ def test_batch_queries_equal_their_single_forms():
         apply_flow(lattice_from_matrix(sample_torus(substream(13, "batch-box", i), 1, 2), dims), 8.0, w)
         for i in range(40)
     ]
-    lattice.reduce_lattices(lattices)
+    reduced = lattice.reduce_lattices(lattices)
     answers = set()
     for box in (Box.open_cube(0.8, 3), Box.closed_cube(1.2, 3), lattice.r_box(0.3, 3), Box.closed_cube(2.7, 3)):
-        points, owner = lattice.enumerate_in_box_batch(lattices, box)
-        hits = lattice.has_nonzero_point_batch(lattices, box)
+        points, owner = lattice.enumerate_in_box_batch(reduced, box)
+        hits = lattice.has_nonzero_point_batch(reduced, box)
         for i, L in enumerate(lattices):
-            alone = UnimodularLattice(L.basis, dims)  # no seeded reduction
-            assert np.array_equal(points[owner == i], enumerate_in_box(alone, box))
-            assert hits[i] == lattice.has_nonzero_point(alone, box) == bool(np.any(owner == i))
+            assert np.array_equal(points[owner == i], enumerate_in_box(L, box))
+            assert hits[i] == lattice.has_nonzero_point(L, box) == bool(np.any(owner == i))
         answers.update(hits.tolist())
     assert answers == {False, True}
     with pytest.raises(CapExceeded):
-        lattice.enumerate_in_box_batch(lattices, Box.closed_cube(2.7, 3), cap=20)
-    assert lattice.enumerate_in_box_batch([], Box.closed_cube(1.0, 3))[0].shape == (0, 3)
+        lattice.enumerate_in_box_batch(reduced, Box.closed_cube(2.7, 3), cap=20)
+    assert lattice.enumerate_in_box_batch(reduced[:0], Box.closed_cube(1.0, 3))[0].shape == (0, 3)
 
 
 def _contains_scalar(box, v):

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from dirichlet_lab import targets
+from dirichlet_lab import lattice, targets
 from dirichlet_lab.approx import DimensionParams
-from dirichlet_lab.errors import ValidationError
+from dirichlet_lab.errors import DimensionTooLarge, ValidationError
 from dirichlet_lab.exact2d import Exact2D
 from dirichlet_lab.exact2d import membership_profiles as exact_profiles
 from dirichlet_lab.lattice import (
@@ -20,7 +20,6 @@ from dirichlet_lab.lattice import (
     lattice_from_matrix,
     r_box,
     random_unimodular,
-    reduce_lattices,
     standard_lattice,
 )
 from dirichlet_lab.rng import sample_torus, substream
@@ -320,7 +319,6 @@ def test_membership_profiles_equal_per_lattice_profiles(m, n):
             got = []
             for start in range(0, len(bases), chunk):
                 part = [UnimodularLattice(b, dims) for b in bases[start : start + chunk]]
-                reduce_lattices(part)
                 keys, hits = membership_profiles(part, kinds, radii, w)
                 assert hits.shape == (len(part), len(keys))
                 got += [dict(zip(keys, row)) for row in hits.tolist()]
@@ -531,7 +529,6 @@ def test_thickened_hits_equal_the_answers_of_the_e_window_cube(w):
     for i in range(3):
         A = sample_torus(substream(30, f"orbit-box-{w.alpha}-{w.beta}", i), dims.m, dims.n)
         flowed = flowed_lattices(lattice_from_matrix(A, dims).basis, np.arange(1.0, 15.0), w)
-        reduce_lattices(flowed)
         for kind in (KIND_THICK, KIND_THICK_PRIMED):
             want = []
             for L, r in zip(flowed, radii):
@@ -543,6 +540,45 @@ def test_thickened_hits_equal_the_answers_of_the_e_window_cube(w):
             assert thickened_hits(flowed, kind, radii, w) == want, (i, kind)
             seen.update(want)
     assert seen == {False, True}
+
+
+def test_thickened_hits_needs_one_radius_per_lattice():
+    # 4 radii for 6 lattices raised numpy's IndexError, and 8 answered 8 lattices
+    w = WeightPair.unweighted(1, 2)
+    A = sample_torus(substream(30, "radii-count", 0), 1, 2)
+    flowed = flowed_lattices(lattice_from_matrix(A, w.dims).basis, np.arange(1.0, 7.0), w)
+    for count in (4, 8, 0):
+        with pytest.raises(ValidationError, match="one per lattice"):
+            thickened_hits(flowed, KIND_THICK, [0.3] * count, w)
+    assert len(thickened_hits(flowed, KIND_THICK, [0.3] * 6, w)) == 6
+
+
+def test_table_guards_run_before_any_reduction(monkeypatch):
+    # a list of mixed dimensions, d > 6 and thickened weights that do not fit
+    # the lattices raise the lab's own errors, and no lattice is reduced first
+    def no_reduction(bases):
+        raise AssertionError("a lattice was reduced before the guards ran")
+
+    monkeypatch.setattr(lattice, "lll_reduce_batch", no_reduction)
+    w12 = WeightPair.unweighted(1, 2)
+    mixed = [standard_lattice(DimensionParams(1, 2)), standard_lattice(DimensionParams(2, 2))]
+    for kinds, radii in (([KIND_SUB], [0.1]), ([KIND_SUB, KIND_PRIMED], [0.1, 0.2]), ([KIND_PRIMED], [0.1])):
+        with pytest.raises(ValidationError):
+            membership_profiles(mixed, kinds, radii, None)
+    with pytest.raises(ValidationError):
+        thickened_hits(mixed, KIND_THICK, [0.1, 0.1], w12)
+    big = [standard_lattice(DimensionParams(4, 3))] * 2
+    with pytest.raises(DimensionTooLarge):
+        membership_profiles(big, [KIND_SUB, KIND_PRIMED], [0.1], None)
+    with pytest.raises(DimensionTooLarge):
+        thickened_hits(big, KIND_THICK_PRIMED, [0.1, 0.1], WeightPair.unweighted(4, 3))
+    other = [standard_lattice(DimensionParams(2, 1))] * 2
+    with pytest.raises(ValidationError, match="weights"):
+        membership_profiles(other, [KIND_SUB, KIND_THICK], [0.1], w12)
+    with pytest.raises(ValidationError, match="weights"):
+        thickened_hits(other, KIND_THICK, [0.1, 0.1], w12)
+    with pytest.raises(ValidationError, match="weights"):
+        thickened_witness_intervals(other[0], TargetSpec(KIND_THICK, 0.1, w12))
 
 
 @pytest.mark.parametrize(
@@ -557,7 +593,6 @@ def test_thick_with_sub_and_primed_answers_each_key_as_asked_alone(w):
         apply_flow(lattice_from_matrix(sample_torus(substream(31, f"mixed-{w.alpha}-{w.beta}", i), dims.m, dims.n), dims), 0.25 * (i % 40), w)
         for i in range(200)
     ]
-    reduce_lattices(lattices)
     keys, hits = membership_profiles(lattices, [KIND_THICK, KIND_SUB, KIND_PRIMED], [0.05, 0.7], w)
     for col, (kind, r) in enumerate(keys):
         alone = membership_profiles(lattices, [kind], [r], w)[1][:, 0]
